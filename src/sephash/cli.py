@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .bounds import (
@@ -37,6 +36,8 @@ from .matrix import (
     write_matrix,
 )
 from .search import (
+    _DEFAULT_NODE_BUDGET,
+    _DEFAULT_RAINBOW_FREE_BUDGET,
     exact_capacity,
     identity_construction,
     rainbow_free_extremal_search,
@@ -197,12 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sephash",
         description="Separating hash family toolkit",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=int(os.environ.get("SHF_JOBS", "1")),
-        help="worker hint for library calls (currently single-threaded)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check separation / cover-free / linearity")
@@ -242,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("N", type=int)
     p.add_argument("q", type=int)
     p.add_argument("type")
-    p.add_argument("--budget", type=int, default=5_000_000)
+    p.add_argument("--budget", type=int, default=_DEFAULT_NODE_BUDGET)
     p.add_argument("--witness-out", metavar="PATH")
     p.set_defaults(func=_cmd_search)
 
@@ -272,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("r", type=int)
     k.add_argument("q", type=int)
     k.add_argument("--k", required=True, help="cycle length range, e.g. 3:4")
-    k.add_argument("--budget", type=int, default=200_000)
+    k.add_argument("--budget", type=int, default=_DEFAULT_RAINBOW_FREE_BUDGET)
     k.add_argument("--out")
     p.set_defaults(func=_cmd_construct)
 
@@ -294,9 +289,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except (MatrixFormatError, PreconditionError, ValueError, OSError) as exc:

@@ -1,14 +1,24 @@
 """Constructive lower-bound witnesses and exact small-instance search.
 
 Constructions self-certify: each output is re-checked by the separation
-oracle before being returned (skipped only when the instance is too large
-to verify at desk scale, in which case the caller is told).
+oracle before being returned, and a failed re-check raises
+CertificationError (an explicit raise, so it also runs under python -O).
+The one exception is reed_solomon_frameproof, which silently skips its
+oracle check when that would enumerate more than _SELF_CHECK_TUPLE_LIMIT
+part tuples.
 
 exact_capacity enumerates column sets in canonical form: per-row symbol
 relabeling maps some column of any family to the all-zero column, which is
 then the lexicographically smallest, so searching ascending column sets
 whose first member is all-zero covers every family up to relabeling.  The
-branch-and-bound kernel works on per-pair row-agreement bitmasks.
+branch-and-bound kernel keeps the candidate list free of any column that
+would complete an unseparated tuple.  When a column joins, one pass over
+the "holed" tuples through it (sizes W with one part one short) builds a
+forbidden-column bitmask: rows where two parts of a holed tuple share a
+symbol (read off per-column one-hot symbol masks) are bad, and the columns
+that show, in every other row, a symbol of some member outside the short
+part are exactly those that complete it into a violation.  The surviving
+candidates are those whose bit is clear.
 """
 
 from __future__ import annotations
@@ -33,6 +43,18 @@ _SELF_CHECK_TUPLE_LIMIT = 2_000_000
 
 _DEFAULT_NODE_BUDGET = 5_000_000
 
+_DEFAULT_RAINBOW_FREE_BUDGET = 200_000
+
+
+class CertificationError(RuntimeError):
+    """A result failed the re-check it must pass before being returned."""
+
+
+def _certify(holds: bool, claim: str) -> None:
+    # An explicit raise, unlike assert, still runs under python -O.
+    if not holds:
+        raise CertificationError(f"self-check failed: {claim}")
+
 
 def identity_construction(n_rows: int, w: int) -> Matrix:
     """N x N binary identity matrix, a verified SHF(N; N, 2, {1, w}).
@@ -49,7 +71,9 @@ def identity_construction(n_rows: int, w: int) -> Matrix:
         tuple(tuple(1 if i == j else 0 for j in range(n_rows)) for i in range(n_rows)),
         2,
     )
-    assert find_violation(m, [1, w]) is None
+    _certify(
+        find_violation(m, [1, w]) is None, f"identity matrix is {{1, {w}}}-separating"
+    )
     return m
 
 
@@ -97,9 +121,9 @@ def reed_solomon_frameproof(q: int, n_rows: int, w: int) -> Matrix:
             col.append(val)
         columns.append(tuple(col))
     m = Matrix(tuple(zip(*columns)), q)
-    assert m.cols == q**k
+    _certify(m.cols == q**k, f"code has q**k = {q**k} columns")
     if _frameproof_check_cost(m.cols, w, n_rows) <= _SELF_CHECK_TUPLE_LIMIT:
-        assert find_violation(m, [1, w]) is None
+        _certify(find_violation(m, [1, w]) is None, f"code is {{1, {w}}}-separating")
     return m
 
 
@@ -173,108 +197,114 @@ class _CapacitySearch:
         self.nodes = 0
         self.columns = [tuple(col) for col in product(range(q), repeat=n_rows)]
         self.full_mask = (1 << n_rows) - 1
+        # sym_cols[r][s]: mask of the columns that show symbol s in row r.
+        # onehot[j]: column j's symbols, bit r*q + s set iff row r shows s.
+        self.sym_cols = [[0] * q for _ in range(n_rows)]
+        self.onehot = [0] * len(self.columns)
+        for j, col in enumerate(self.columns):
+            for r in range(n_rows):
+                self.sym_cols[r][col[r]] |= 1 << j
+                self.onehot[j] |= 1 << (r * q + col[r])
+        self._layouts = self._holed_layouts()
         self.best: list[int] = []
         self.exhausted = True
-        n_cols = len(self.columns)
-        self._agree_table: list[list[int]] | None = None
-        self._agree_cache: dict[tuple[int, int], int] = {}
-        if n_cols <= 512:
-            self._agree_table = self._build_agree_table()
 
-    def _build_agree_table(self):
-        cols = self.columns
-        n = len(cols)
-        table = [[0] * n for _ in range(n)]
-        for i in range(n):
-            ci = cols[i]
-            for j in range(i + 1, n):
-                cj = cols[j]
-                mask = 0
-                for r in range(self.n_rows):
-                    if ci[r] == cj[r]:
-                        mask |= 1 << r
-                table[i][j] = mask
-                table[j][i] = mask
-        return table
+    def _holed_layouts(self):
+        """Part slots (size, holds the newest column, canonical) of holed tuples.
 
-    def agree(self, i, j):
-        if self._agree_table is not None:
-            return self._agree_table[i][j]
-        key = (i, j) if i < j else (j, i)
-        got = self._agree_cache.get(key)
-        if got is None:
-            ci, cj = self.columns[key[0]], self.columns[key[1]]
-            got = 0
-            for r in range(self.n_rows):
-                if ci[r] == cj[r]:
-                    got |= 1 << r
-            self._agree_cache[key] = got
-        return got
-
-    def _tuples_containing(self, members, required):
-        """Disjoint part tuples drawn from `members` that use all of `required`.
-
-        Equal-size parts ascend by smallest element so each unordered tuple
-        appears once.
+        Slot 0 is the hole, one short of its weight.  One layout per place
+        the newest column can sit: the hole, or a part of each other size.
+        The remaining equal-size parts are interchangeable, so they ascend
+        by smallest member.
         """
-        sizes = self.weights
-        req = set(required)
 
-        def rec(parts, used, pool):
-            k = len(parts)
-            if k == len(sizes):
-                if req <= used:
-                    yield tuple(parts)
+        def canonical(rest):
+            return [(v, False, i > 0 and rest[i - 1] == v) for i, v in enumerate(rest)]
+
+        layouts = []
+        for w in sorted(set(self.weights)):
+            rest = list(self.weights)
+            rest.remove(w)
+            if w > 1:
+                layouts.append([(w - 1, True, False)] + canonical(rest))
+            for s in sorted(set(rest)):
+                others = list(rest)
+                others.remove(s)
+                layouts.append(
+                    [(w - 1, False, False), (s, True, False)] + canonical(others)
+                )
+        return layouts
+
+    def _survivors(self, chosen, cand):
+        """The candidates that complete no unseparated tuple with `chosen`.
+
+        Only tuples through both chosen[-1] and the candidate are examined;
+        the rest were vetted one level up.  Such a tuple minus the candidate
+        is a "holed" tuple from `chosen`: sizes W with one part (the hole)
+        one short.  A candidate is forbidden if, in every row where no two
+        parts share a symbol, it shares one with a member outside the hole.
+        """
+        if len(chosen) < self.u - 1 or not cand:
+            return cand
+        col = chosen[-1]
+        q, full, n_rows = self.q, self.full_mask, self.n_rows
+        columns, sym_cols, onehot = self.columns, self.sym_cols, self.onehot
+        sym_mask = (1 << q) - 1
+        allowed = 0
+        for d in cand:
+            allowed |= 1 << d
+
+        def rec(slots, k, prev, bad, seen, outside, avail):
+            nonlocal allowed
+            if k == len(slots):
+                forbidden = allowed
+                for r in range(n_rows):
+                    if not bad >> r & 1:
+                        row_syms = 0
+                        for y in outside:
+                            row_syms |= sym_cols[r][columns[y][r]]
+                        forbidden &= row_syms
+                        if not forbidden:
+                            return
+                allowed &= ~forbidden
                 return
-            # Remaining slots must still be able to absorb required members.
-            remaining_capacity = sum(sizes[k:])
-            if len(req - used) > remaining_capacity:
-                return
-            w = sizes[k]
-            for combo in combinations(pool, w):
-                if k > 0 and sizes[k - 1] == w and combo[0] < parts[-1][0]:
+            size, has_col, canonical = slots[k]
+            for combo in combinations(avail, size - has_col):
+                if canonical and combo[0] < prev[0]:
                     continue
-                new_pool = [x for x in pool if x not in combo]
-                parts.append(combo)
-                yield from rec(parts, used | set(combo), new_pool)
-                parts.pop()
+                part = (col,) + combo if has_col else combo
+                syms = 0
+                for x in part:
+                    syms |= onehot[x]
+                b = bad
+                shared = syms & seen
+                if shared:
+                    for r in range(n_rows):
+                        if shared >> (r * q) & sym_mask:
+                            b |= 1 << r
+                    if b == full:
+                        # chosen has u - 1 members, so a completion exists,
+                        # and it is unseparated whatever candidate joins.
+                        allowed = 0
+                        return
+                rest = [x for x in avail if x not in combo]
+                out = outside + part if k else ()  # slot 0 is the hole
+                rec(slots, k + 1, combo, b, seen | syms, out, rest)
+                if not allowed:
+                    return
 
-        yield from rec([], set(), sorted(members))
-
-    def _tuple_unseparated(self, parts):
-        bad = 0
-        agree = self.agree
-        for a in range(len(parts)):
-            pa = parts[a]
-            for b in range(a + 1, len(parts)):
-                for x in pa:
-                    for y in parts[b]:
-                        bad |= agree(x, y)
-            if bad == self.full_mask:
-                return True
-        return bad == self.full_mask
-
-    def extend_ok(self, chosen, new_col, fresh_pair=None):
-        """Can new_col join `chosen` without creating an unseparated tuple?
-
-        fresh_pair restricts the scan to tuples through both of its members
-        (used when the rest were already checked at the parent node).
-        """
-        if len(chosen) + 1 < self.u:
-            return True
-        members = chosen + [new_col]
-        required = (new_col,) if fresh_pair is None else fresh_pair
-        for parts in self._tuples_containing(members, required):
-            if self._tuple_unseparated(parts):
-                return False
-        return True
+        for slots in self._layouts:
+            rec(slots, 0, (), 0, 0, (), chosen[:-1])
+            if not allowed:
+                return []
+        return [d for d in cand if allowed >> d & 1]
 
     def run(self):
         n_cols = len(self.columns)
         if n_cols == 0:
             return
         chosen = [0]  # canonical: the all-zero column is index 0
-        cand = list(range(1, n_cols))
+        cand = self._survivors(chosen, list(range(1, n_cols)))
         self.best = [0]
         self._dfs(chosen, cand)
 
@@ -293,15 +323,9 @@ class _CapacitySearch:
             if self.nodes >= self.node_budget:
                 self.exhausted = False
                 return
-            if not self.extend_ok(chosen, col):
-                continue
+            # col passed the filter as each chosen column joined: no recheck.
             chosen.append(col)
-            # Survivors of the parent filter only need checks through
-            # (col, d); all other tuples were vetted one level up.
-            new_cand = [
-                d for d in cand[idx + 1 :] if self.extend_ok(chosen, d, (col, d))
-            ]
-            self._dfs(chosen, new_cand)
+            self._dfs(chosen, self._survivors(chosen, cand[idx + 1 :]))
             chosen.pop()
 
 
@@ -342,7 +366,7 @@ def exact_capacity(
         # give the vacuous maximum u-1.
         witness = Matrix(tuple(tuple(0 for _ in range(u - 1)) for _ in range(n_rows)), q)
         value = u - 1
-    assert find_violation(witness, w) is None
+    _certify(find_violation(witness, w) is None, f"capacity witness is {w}-separating")
     return CapacityResult(
         rows=n_rows,
         q=q,
@@ -399,7 +423,7 @@ def random_shf_alteration(
             victim = max(c for part in witness.parts for c in part)
             cols.pop(victim)
         result = Matrix(tuple(zip(*cols)), q)
-        assert find_violation(result, w) is None
+        _certify(find_violation(result, w) is None, f"altered family is {w}-separating")
         if best is None or result.cols > best.cols:
             best = result
     return best
@@ -430,7 +454,7 @@ class RainbowFreeResult:
 
 
 def rainbow_free_extremal_search(
-    parts: int, part_size: int, k_range, node_budget: int = 200_000
+    parts: int, part_size: int, k_range, node_budget: int = _DEFAULT_RAINBOW_FREE_BUDGET
 ) -> RainbowFreeResult:
     """Largest linear hypergraph avoiding rainbow cycles of the given lengths.
 
@@ -498,10 +522,12 @@ def rainbow_free_extremal_search(
 
     dfs([], 0)
     h = PartiteHypergraph(parts, part_size, tuple(state["best"]))
-    assert is_linear_hypergraph(h)
+    _certify(is_linear_hypergraph(h), "hypergraph is linear")
     if len(h.edges) >= 3:
         for k in ks:
-            assert find_rainbow_cycle(h, k) is None
+            _certify(
+                find_rainbow_cycle(h, k) is None, f"hypergraph has no rainbow {k}-cycle"
+            )
     return RainbowFreeResult(
         edge_count=len(h.edges),
         hypergraph=h,

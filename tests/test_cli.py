@@ -225,11 +225,11 @@ class TestUsage:
         code, _ = run(["frobnicate"])
         assert code == 2
 
-    def test_jobs_validation(self, corpus):
-        code, _ = run(["--jobs", "0", "verify", corpus["identity4.txt"], "--linear"])
+    def test_no_jobs_knob(self, corpus, monkeypatch):
+        # The removed worker hint is an unknown option, and its old
+        # environment variable no longer affects parsing.
+        code, _ = run(["--jobs", "2", "verify", corpus["identity4.txt"], "--linear"])
         assert code == 2
-
-    def test_jobs_env_default(self, corpus, monkeypatch):
-        monkeypatch.setenv("SHF_JOBS", "2")
+        monkeypatch.setenv("SHF_JOBS", "abc")
         code, _ = run(["verify", corpus["identity4.txt"], "--type", "1,3"])
         assert code == 0

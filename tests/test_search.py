@@ -1,13 +1,20 @@
 """Tests for constructions and the exact capacity search."""
 
+import os
 import random
+import subprocess
+import sys
+from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
+import sephash
 from sephash.hypergraph import find_rainbow_cycle, is_linear_hypergraph, matrix_to_hypergraph
-from sephash.matrix import Matrix
+from sephash.matrix import Matrix, write_matrix
 from sephash.search import (
     CapacityResult,
+    CertificationError,
     cyclic_overlap_matrix,
     exact_capacity,
     identity_construction,
@@ -15,9 +22,40 @@ from sephash.search import (
     random_shf_alteration,
     reed_solomon_frameproof,
 )
-from sephash.verification import PreconditionError, find_violation, is_linear_shf
+from sephash.verification import (
+    PreconditionError,
+    ViolationWitness,
+    find_violation,
+    is_linear_shf,
+)
 
 from helpers import naive_is_separating
+
+# (N, q, W) -> (value, nodes, exact, witness text), recorded from the search
+# before its candidate filter was rewritten.  Node counts pin the search tree:
+# DFS order, size pruning and candidate filtering must all stay the same.
+CAPACITY_REGRESSION = [
+    (6, 2, (2, 2), 5, 6034, True, "6 5 2\n0 0 0 1 1\n0 0 1 0 1\n0 0 1 1 0\n0 1 0 0 1\n0 1 0 1 0\n0 1 1 0 0\n"),
+    (6, 2, (1, 3), 6, 2794, True, "6 6 2\n0 0 0 0 0 1\n0 0 0 0 1 0\n0 0 0 1 0 0\n0 0 1 0 0 0\n0 1 0 0 0 0\n0 1 1 1 1 1\n"),
+    (2, 5, (1, 2), 8, 934, True, "2 8 5\n0 0 0 0 1 2 3 4\n0 1 2 3 4 4 4 4\n"),
+    (4, 3, (1, 1, 2), 3, 3159, True, "4 3 3\n0 0 0\n0 0 0\n0 0 0\n0 1 2\n"),
+    (5, 2, (2, 2), 4, 739, True, "5 4 2\n0 0 0 0\n0 0 0 0\n0 0 1 1\n0 1 0 1\n0 1 1 0\n"),
+    (3, 3, (1, 3), 6, 421, True, "3 6 3\n0 0 0 0 1 2\n0 0 1 2 0 0\n0 1 2 2 2 2\n"),
+    (3, 3, (2, 2), 5, 358, True, "3 5 3\n0 0 1 1 2\n0 1 0 1 2\n0 1 1 0 2\n"),
+    (3, 3, (1, 1, 1), 6, 227, True, "3 6 3\n0 0 1 1 2 2\n0 1 0 2 1 2\n0 1 2 1 2 0\n"),
+    (2, 4, (1, 1, 1), 6, 81, True, "2 6 4\n0 0 0 1 2 3\n0 1 2 3 3 3\n"),
+    (5, 2, (1, 2), 6, 389, True, "5 6 2\n0 0 0 0 1 1\n0 0 0 1 0 1\n0 0 1 0 0 1\n0 1 0 0 0 1\n0 1 1 1 1 0\n"),
+    (2, 5, (1, 1, 2), 5, 1568, True, "2 5 5\n0 0 0 0 0\n0 1 2 3 4\n"),
+    (5, 2, (1, 3), 5, 436, True, "5 5 2\n0 0 0 0 1\n0 0 0 1 0\n0 0 1 0 0\n0 1 0 0 0\n0 1 1 1 1\n"),
+    (3, 3, (1, 2), 9, 288, True, "3 9 3\n0 0 0 1 1 1 2 2 2\n0 1 2 0 1 2 0 1 2\n0 1 2 1 2 0 2 0 1\n"),
+    (4, 3, (2, 2), 9, 12196, True, "4 9 3\n0 0 0 1 1 1 2 2 2\n0 1 2 0 1 2 0 1 2\n0 1 2 1 2 0 2 0 1\n0 1 2 2 0 1 1 2 0\n"),
+]
+
+NAIVE_POINTS = [(2, 2, (1, 1)), (3, 2, (1, 2)), (3, 2, (2, 2)), (2, 3, (1, 2))]
+
+
+def _point_id(n_rows, q, weights):
+    return f"{n_rows}-{q}-" + ",".join(map(str, weights))
 
 
 class TestIdentityConstruction:
@@ -136,11 +174,11 @@ class TestExactCapacity:
             if (n_rows, q + 1) in grid:
                 assert grid[(n_rows, q + 1)] >= val
 
-    def test_matches_naive_maximum_tiny(self):
+    @pytest.mark.parametrize(
+        "n_rows, q, weights", NAIVE_POINTS, ids=[_point_id(*p) for p in NAIVE_POINTS]
+    )
+    def test_matches_naive_maximum_tiny(self, n_rows, q, weights):
         # Cross-check the canonical search against unreduced subset search.
-        from itertools import combinations, product
-
-        n_rows, q, weights = 2, 2, [1, 1]
         cols = list(product(range(q), repeat=n_rows))
         best = 0
         for size in range(1, len(cols) + 1):
@@ -149,6 +187,21 @@ class TestExactCapacity:
                 if naive_is_separating(m, weights):
                     best = max(best, size)
         assert exact_capacity(n_rows, q, weights).value == best
+
+    @pytest.mark.parametrize(
+        "n_rows, q, weights, value, nodes, exact, witness",
+        CAPACITY_REGRESSION,
+        ids=[_point_id(*row[:3]) for row in CAPACITY_REGRESSION],
+    )
+    def test_search_tree_regression(self, n_rows, q, weights, value, nodes, exact, witness):
+        r = exact_capacity(n_rows, q, weights)
+        assert (r.value, r.nodes, r.exact, write_matrix(r.witness)) == (
+            value,
+            nodes,
+            exact,
+            witness,
+        )
+        assert naive_is_separating(r.witness, weights)
 
     def test_rejects_oversized_space(self):
         with pytest.raises(ValueError, match="too large"):
@@ -236,3 +289,32 @@ class TestCapacityLaws:
         # C(N, q, {1,1}) = q**N whenever distinct columns exist.
         for n_rows, q in ((1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (1, 5), (2, 9)):
             assert exact_capacity(n_rows, q, [1, 1]).value == q**n_rows
+
+
+class TestCertification:
+    """Self-checks raise CertificationError, which python -O cannot strip."""
+
+    def test_rejected_capacity_witness_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            "sephash.search.find_violation",
+            lambda m, w: ViolationWitness(((0,), (1,))),
+        )
+        with pytest.raises(CertificationError):
+            exact_capacity(2, 2, [1, 1])
+
+    def test_rejected_capacity_witness_raises_under_optimize(self):
+        script = (
+            "import sys\n"
+            "import sephash.search as s\n"
+            "from sephash.verification import ViolationWitness\n"
+            "s.find_violation = lambda m, w: ViolationWitness(((0,), (1,)))\n"
+            "try:\n"
+            "    s.exact_capacity(2, 2, [1, 1])\n"
+            "except s.CertificationError:\n"
+            "    sys.exit(0 if sys.flags.optimize else 3)\n"
+            "sys.exit(1)\n"
+        )
+        src = str(Path(sephash.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
+        assert done.returncode == 0
