@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from .matrix import SeparationType, normalize_weights
+from .matrix import SeparationType, _certify, normalize_weights
 
 INF = math.inf
 
@@ -68,8 +68,6 @@ class BoundResult:
         value = self.value
         if value == INF:
             value = "infinity"
-        elif isinstance(value, float) and value.is_integer() and abs(value) < 2**53:
-            pass
         return {
             "value": value,
             "provenance": self.provenance,
@@ -579,5 +577,7 @@ def best_upper_bound(n_rows: int, q: int, weights) -> BoundResult:
     ]
     winner = min(candidates, key=lambda b: b.value)
     lower = prob_lower_bound(n_rows, q, w)
-    assert winner.value >= lower.value, "upper bound fell below the probabilistic lower bound"
+    _certify(
+        winner.value >= lower.value, "upper bound is at least the probabilistic lower bound"
+    )
     return winner

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .matrix import Matrix
+from .matrix import Matrix, _certify
 from .verification import PreconditionError, find_violation
 
 # Quadratic growth coefficient for the cover-free threshold lower bound,
@@ -87,7 +87,7 @@ def cff_derived(m: Matrix, member: int, w: int) -> Matrix:
     derived = Matrix(
         tuple(tuple(m.entries[i][j] for j in keep_cols) for i in keep_rows), 2
     )
-    assert is_cff(derived, w - 1) is None
+    _certify(is_cff(derived, w - 1) is None, f"derived family is {w - 1}-cover-free")
     return derived
 
 
@@ -121,7 +121,7 @@ def shf_to_cff_double(m: Matrix, w: int) -> Matrix:
         rows.append(tuple(1 if e == 0 else 0 for e in m.entries[i]))
         rows.append(tuple(1 if e == 1 else 0 for e in m.entries[i]))
     doubled = Matrix(tuple(rows), 2)
-    assert is_cff(doubled, w) is None
+    _certify(is_cff(doubled, w) is None, f"doubled family is {w}-cover-free")
     return doubled
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .matrix import Matrix
+from .matrix import Matrix, _certify
 from .verification import ViolationWitness, row_separates
 
 
@@ -140,16 +140,12 @@ def _assign_cycle_parts(domains: list[tuple[int, ...]]) -> list[int] | None:
     return chosen if rec(0) else None
 
 
-def find_rainbow_cycle(
-    h: PartiteHypergraph, k: int, require_edge: int | None = None
-) -> RainbowCycle | None:
+def find_rainbow_cycle(h: PartiteHypergraph, k: int) -> RainbowCycle | None:
     """Search for a rainbow cycle of length exactly k.
 
     Deterministic: returns the cycle whose edge-index sequence is
     lexicographically least, normalized to start at its smallest edge index.
-    require_edge restricts the search to cycles through that edge (used by
-    the incremental extremal search).  Callers wanting any length iterate
-    k = 3..r ascending.
+    Callers wanting any length iterate k = 3..r ascending.
     """
     if not 3 <= k <= h.parts:
         raise ValueError(f"cycle length must lie in [3, {h.parts}]")
@@ -182,8 +178,6 @@ def find_rainbow_cycle(
 
     def extend(seq: list[int], used: set[int]) -> RainbowCycle | None:
         if len(seq) == k:
-            if require_edge is not None and require_edge not in used:
-                return None
             return close_cycle(seq)
         for e in range(seq[0] + 1, m):
             if e in used:
@@ -199,8 +193,7 @@ def find_rainbow_cycle(
             seq.pop()
         return None
 
-    first_range = range(m) if require_edge is None else range(require_edge + 1)
-    for first in first_range:
+    for first in range(m):
         found = extend([first], {first})
         if found is not None:
             return found
@@ -244,5 +237,5 @@ def cycle_to_violation(h: PartiteHypergraph, cycle: RainbowCycle) -> ViolationWi
     m = hypergraph_to_matrix(h)
     for f in range(m.rows):
         # A failure here would falsify the odd/even collision argument.
-        assert not row_separates(m, f, parts), "cycle failed to block a row"
+        _certify(not row_separates(m, f, parts), f"cycle blocks row {f}")
     return ViolationWitness(parts)

@@ -26,6 +26,16 @@ from fractions import Fraction
 _MAX_GROUPED_ALPHABET = 2**62
 
 
+class CertificationError(RuntimeError):
+    """A result failed the re-check it must pass before being returned."""
+
+
+def _certify(holds: bool, claim: str) -> None:
+    # An explicit raise, unlike assert, still runs under python -O.
+    if not holds:
+        raise CertificationError(f"self-check failed: {claim}")
+
+
 class MatrixFormatError(ValueError):
     """Malformed matrix file; carries the 1-based offending line number."""
 

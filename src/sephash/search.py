@@ -19,6 +19,14 @@ symbol (read off per-column one-hot symbol masks) are bad, and the columns
 that show, in every other row, a symbol of some member outside the short
 part are exactly those that complete it into a violation.  The surviving
 candidates are those whose bit is clear.
+
+rainbow_free_extremal_search adds candidate edges in lexicographic order.
+Each edge carries a vertex bitmask and a covered-pair bitmask (one bit per
+vertex pair in distinct parts); the OR of the chosen edges' pair masks
+rejects a candidate sharing two vertices with one of them in a single AND.
+A linear candidate is then tested only for cycles through itself: a path
+from it back to itself over chosen edges, grown through per-vertex
+incidence masks, whose shared vertices use distinct parts.
 """
 
 from __future__ import annotations
@@ -35,7 +43,8 @@ from .hypergraph import (
     find_rainbow_cycle,
     is_linear_hypergraph,
 )
-from .matrix import Matrix, SeparationType, normalize_weights
+# CertificationError is re-exported: sephash.search.CertificationError stays.
+from .matrix import CertificationError, Matrix, SeparationType, _certify, normalize_weights
 from .verification import PreconditionError, find_violation
 
 # Upper limit on enumerated part tuples for in-constructor verification.
@@ -44,16 +53,6 @@ _SELF_CHECK_TUPLE_LIMIT = 2_000_000
 _DEFAULT_NODE_BUDGET = 5_000_000
 
 _DEFAULT_RAINBOW_FREE_BUDGET = 200_000
-
-
-class CertificationError(RuntimeError):
-    """A result failed the re-check it must pass before being returned."""
-
-
-def _certify(holds: bool, claim: str) -> None:
-    # An explicit raise, unlike assert, still runs under python -O.
-    if not holds:
-        raise CertificationError(f"self-check failed: {claim}")
 
 
 def identity_construction(n_rows: int, w: int) -> Matrix:
@@ -336,7 +335,9 @@ def exact_capacity(
 
     Exhaustive up to per-row symbol relabeling; requires q**N <= 10_000
     candidate columns.  When the node budget trips, the best family found so
-    far is returned with exact=False.
+    far is returned with exact=False; the reported nodes can then exceed
+    node_budget by up to the depth reached, as each level above the trip
+    counts one more candidate before it sees it.
     """
     w = normalize_weights(weights)
     if w.t < 2:
@@ -453,17 +454,131 @@ class RainbowFreeResult:
         }
 
 
+class _RainbowFreeSearch:
+    """Subset search over candidate edges with bitmask linearity and cycle tests.
+
+    Vertex (i, s) is bit i*q + s of an edge's vertex mask.  Each vertex pair
+    in distinct parts owns one bit of the pair masks, so two edges share two
+    vertices iff their pair masks meet, and a candidate is linear with the
+    chosen edges iff its pair mask misses the OR of theirs.
+    """
+
+    def __init__(self, parts, part_size, ks, node_budget):
+        self.parts = parts
+        self.q = part_size
+        self.ks = ks
+        self.node_budget = node_budget
+        self.nodes = 0
+        self.certified = True
+        self.candidates = [tuple(e) for e in product(range(part_size), repeat=parts)]
+        part_pairs = list(combinations(range(parts), 2))
+        q = part_size
+        self.vertex_mask = [
+            sum(1 << (i * q + s) for i, s in enumerate(e)) for e in self.candidates
+        ]
+        self.pair_mask = [
+            sum(1 << ((n * q + e[i]) * q + e[j]) for n, (i, j) in enumerate(part_pairs))
+            for e in self.candidates
+        ]
+        self.chosen: list[int] = []
+        # incidence[v]: bit p set iff chosen[p] holds vertex v.
+        self.incidence = [0] * (parts * q)
+        # Seed: pairwise disjoint diagonal edges share no vertex, hence no cycle.
+        self.best = [tuple(s for _ in range(parts)) for s in range(part_size)]
+
+    def push(self, c):
+        bit = 1 << len(self.chosen)
+        for i, s in enumerate(self.candidates[c]):
+            self.incidence[i * self.q + s] |= bit
+        self.chosen.append(c)
+
+    def pop(self):
+        c = self.chosen.pop()
+        keep = ~(1 << len(self.chosen))
+        for i, s in enumerate(self.candidates[c]):
+            self.incidence[i * self.q + s] &= keep
+
+    def closes_cycle(self, c):
+        """True iff candidate c, linear with the chosen edges, closes a rainbow cycle.
+
+        Linearity leaves consecutive cycle edges exactly one shared vertex,
+        so a rainbow k-cycle through c is a path c -> E1 -> ... -> E(k-1) -> c
+        over distinct chosen edges whose k shared vertices lie in k distinct
+        parts.  The path grows through the incidence masks of its last
+        edge's vertices in unused parts.
+        """
+        parts, q, ks = self.parts, self.q, self.ks
+        k_max = ks[-1]
+        candidates, chosen, incidence = self.candidates, self.chosen, self.incidence
+        vertex_mask, new_mask = self.vertex_mask, self.vertex_mask[c]
+
+        def walk(edge, length, used_parts, used_edges):
+            # Grow the path c, ..., edge (length edges, its length - 1 shared
+            # vertices in used_parts) by one chosen edge through an unused part.
+            for p in range(parts):
+                if used_parts >> p & 1:
+                    continue
+                used = used_parts | 1 << p
+                nxt = incidence[p * q + edge[p]] & ~used_edges
+                while nxt:
+                    low = nxt & -nxt
+                    nxt ^= low
+                    e = chosen[low.bit_length() - 1]
+                    if length + 1 in ks:
+                        shared = vertex_mask[e] & new_mask
+                        if shared and not used >> ((shared.bit_length() - 1) // q) & 1:
+                            return True
+                    if length + 1 < k_max and walk(
+                        candidates[e], length + 1, used, used_edges | low
+                    ):
+                        return True
+            return False
+
+        return walk(candidates[c], 1, 0, 0)
+
+    def run(self):
+        self._dfs(0, 0)
+
+    def _dfs(self, start, covered):
+        chosen = self.chosen
+        if len(chosen) > len(self.best):
+            self.best = [self.candidates[c] for c in chosen]
+        if self.nodes >= self.node_budget:
+            self.certified = False
+            return
+        n = len(self.candidates)
+        if len(chosen) + (n - start) <= len(self.best):
+            return
+        pair_mask = self.pair_mask
+        for idx in range(start, n):
+            if len(chosen) + (n - idx) <= len(self.best):
+                return
+            self.nodes += 1
+            if self.nodes >= self.node_budget:
+                self.certified = False
+                return
+            if pair_mask[idx] & covered or self.closes_cycle(idx):
+                continue
+            self.push(idx)
+            self._dfs(idx + 1, covered | pair_mask[idx])
+            self.pop()
+
+
 def rainbow_free_extremal_search(
     parts: int, part_size: int, k_range, node_budget: int = _DEFAULT_RAINBOW_FREE_BUDGET
 ) -> RainbowFreeResult:
     """Largest linear hypergraph avoiding rainbow cycles of the given lengths.
 
     Exhaustive subset search over all part_size**parts candidate edges in
-    lexicographic order, keeping linearity and cycle-freeness incrementally
-    (a new cycle must pass through the newest edge).  The diagonal matching
-    seeds the search, so the result always has at least part_size edges.
-    Budget overruns return the best found, flagged uncertified.  The final
-    result is re-verified from scratch before returning.
+    lexicographic order.  The OR of the chosen edges' covered-pair masks
+    rejects a non-linear candidate in one AND, and a new cycle must pass
+    through the newest edge, so only paths from it back to itself are
+    searched.  The diagonal matching seeds the search, so the result always
+    has at least part_size edges.  Budget overruns return the best found,
+    flagged uncertified; the reported nodes can then exceed node_budget by
+    up to the depth reached, as each level above the trip counts one more
+    candidate before it sees it.  The final result is re-verified from
+    scratch (is_linear_hypergraph, find_rainbow_cycle) before returning.
     """
     if parts > 6 or part_size > 5:
         raise ValueError("desk-scale search: need parts <= 6 and part_size <= 5")
@@ -475,53 +590,9 @@ def rainbow_free_extremal_search(
     for k in ks:
         if not 3 <= k <= parts:
             raise ValueError(f"cycle length {k} outside [3, {parts}]")
-    candidates = [tuple(e) for e in product(range(part_size), repeat=parts)]
-
-    # Seed: pairwise disjoint diagonal edges share no vertex, hence no cycle.
-    seed_edges = [tuple(s for _ in range(parts)) for s in range(part_size)]
-    state = {"best": list(seed_edges), "nodes": 0, "certified": True}
-
-    def linear_with(edges, cand):
-        for e in edges:
-            if sum(1 for i in range(parts) if e[i] == cand[i]) > 1:
-                return False
-        return True
-
-    def cycle_free_with(edges, cand):
-        trial = PartiteHypergraph(parts, part_size, tuple(edges) + (cand,))
-        new_index = len(edges)
-        for k in ks:
-            if find_rainbow_cycle(trial, k, require_edge=new_index) is not None:
-                return False
-        return True
-
-    def dfs(edges, start):
-        if len(edges) > len(state["best"]):
-            state["best"] = list(edges)
-        if state["nodes"] >= node_budget:
-            state["certified"] = False
-            return
-        remaining = len(candidates) - start
-        if len(edges) + remaining <= len(state["best"]):
-            return
-        for idx in range(start, len(candidates)):
-            if len(edges) + (len(candidates) - idx) <= len(state["best"]):
-                return
-            cand = candidates[idx]
-            state["nodes"] += 1
-            if state["nodes"] >= node_budget:
-                state["certified"] = False
-                return
-            if not linear_with(edges, cand):
-                continue
-            if not cycle_free_with(edges, cand):
-                continue
-            edges.append(cand)
-            dfs(edges, idx + 1)
-            edges.pop()
-
-    dfs([], 0)
-    h = PartiteHypergraph(parts, part_size, tuple(state["best"]))
+    searcher = _RainbowFreeSearch(parts, part_size, tuple(ks), node_budget)
+    searcher.run()
+    h = PartiteHypergraph(parts, part_size, tuple(searcher.best))
     _certify(is_linear_hypergraph(h), "hypergraph is linear")
     if len(h.edges) >= 3:
         for k in ks:
@@ -531,6 +602,6 @@ def rainbow_free_extremal_search(
     return RainbowFreeResult(
         edge_count=len(h.edges),
         hypergraph=h,
-        nodes=state["nodes"],
-        certified=state["certified"],
+        nodes=searcher.nodes,
+        certified=searcher.certified,
     )

@@ -1,10 +1,15 @@
 """Tests for cover-free families, the doubling transform, and thresholds."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sephash
 from sephash.coverfree import (
     QUADRATIC_COEFF,
     cff_derived,
@@ -14,7 +19,7 @@ from sephash.coverfree import (
     is_cff,
     shf_to_cff_double,
 )
-from sephash.matrix import Matrix
+from sephash.matrix import CertificationError, Matrix
 from sephash.search import identity_construction
 from sephash.verification import PreconditionError, find_violation
 
@@ -189,3 +194,31 @@ class TestLemmaProperties:
             m = augmented_identity(rng, n, 2)
             out = cff_derived(m, rng.randrange(n), 3)
             assert is_cff(out, 2) is None
+
+
+class TestCertification:
+    """Self-checks raise CertificationError, which python -O cannot strip."""
+
+    def test_rejected_double_raises(self, monkeypatch):
+        monkeypatch.setattr("sephash.coverfree.is_cff", lambda m, w: (0, (1,)))
+        with pytest.raises(CertificationError):
+            shf_to_cff_double(identity_construction(3, 2), 2)
+
+    def test_rejected_double_raises_under_optimize(self):
+        script = (
+            "import sys\n"
+            "import sephash.coverfree as c\n"
+            "from sephash.matrix import CertificationError\n"
+            "from sephash.search import identity_construction\n"
+            "m = identity_construction(3, 2)\n"
+            "c.is_cff = lambda m, w: (0, (1,))\n"
+            "try:\n"
+            "    c.shf_to_cff_double(m, 2)\n"
+            "except CertificationError:\n"
+            "    sys.exit(0 if sys.flags.optimize else 3)\n"
+            "sys.exit(1)\n"
+        )
+        src = str(Path(sephash.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
+        assert done.returncode == 0

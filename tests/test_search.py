@@ -4,10 +4,11 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sephash
 from sephash.hypergraph import find_rainbow_cycle, is_linear_hypergraph, matrix_to_hypergraph
@@ -15,6 +16,7 @@ from sephash.matrix import Matrix, write_matrix
 from sephash.search import (
     CapacityResult,
     CertificationError,
+    _RainbowFreeSearch,
     cyclic_overlap_matrix,
     exact_capacity,
     identity_construction,
@@ -49,6 +51,26 @@ CAPACITY_REGRESSION = [
     (5, 2, (1, 3), 5, 436, True, "5 5 2\n0 0 0 0 1\n0 0 0 1 0\n0 0 1 0 0\n0 1 0 0 0\n0 1 1 1 1\n"),
     (3, 3, (1, 2), 9, 288, True, "3 9 3\n0 0 0 1 1 1 2 2 2\n0 1 2 0 1 2 0 1 2\n0 1 2 1 2 0 2 0 1\n"),
     (4, 3, (2, 2), 9, 12196, True, "4 9 3\n0 0 0 1 1 1 2 2 2\n0 1 2 0 1 2 0 1 2\n0 1 2 1 2 0 2 0 1\n0 1 2 2 0 1 1 2 0\n"),
+]
+
+# (parts, part_size, k_range, node_budget) -> (edges, nodes, certified),
+# recorded from the search before its linearity and cycle checks became
+# bitmask kernels.  All but the first four points trip their budget; the
+# last one has the largest candidate set (5**6 edges).
+RAINBOW_FREE_REGRESSION = [
+    (3, 2, (3,), None, "000 111", 55, True),
+    (3, 3, (3,), None, "000 011 102 121 212 220", 7201, True),
+    (5, 2, (3, 4, 5), None, "00000 11111", 1279, True),
+    (6, 2, (4, 6), None, "000000 111111", 5743, True),
+    (4, 3, (3, 4), None, "0000 1111 2222", 200002, False),
+    (4, 3, (4,), 50000, "0000 0111 0222 1012 1120 1201 2021 2102 2210", 50004, False),
+    (4, 3, (3,), 50000, "0000 0111 1022 2212", 50003, False),
+    (3, 4, (3,), 50000, "000 011 022 103 131 213 232 323 330", 50006, False),
+    (3, 5, (3,), 50000, "000 011 022 033 104 141 214 240 324 343 434 442", 50006, False),
+    (5, 3, (5,), 20000, "00000 01111 10122 12201", 20003, False),
+    (4, 4, (3, 4), 20000, "0000 1111 2222 3333", 20004, False),
+    (6, 5, (3, 4, 5, 6), 50000, "000000 111111 222222 333333 444444", 50005, False),
+    (6, 5, (3,), 1000, "000000 111111 222222 333333 444444", 1002, False),
 ]
 
 NAIVE_POINTS = [(2, 2, (1, 1)), (3, 2, (1, 2)), (3, 2, (2, 2)), (2, 3, (1, 2))]
@@ -275,6 +297,24 @@ class TestRainbowFreeSearch:
         assert not r.certified
         assert r.edge_count >= 3  # seeded matching survives
 
+    @pytest.mark.parametrize(
+        "parts, q, ks, budget, edges, nodes, certified",
+        RAINBOW_FREE_REGRESSION,
+        ids=[f"{p}-{q}-{','.join(map(str, ks))}-{b}" for p, q, ks, b, *_ in RAINBOW_FREE_REGRESSION],
+    )
+    def test_rainbow_free_regression(self, parts, q, ks, budget, edges, nodes, certified):
+        kwargs = {} if budget is None else {"node_budget": budget}
+        r = rainbow_free_extremal_search(parts, q, ks, **kwargs)
+        edge_list = [[int(s) for s in e] for e in edges.split()]
+        assert r.as_json_dict() == {
+            "parts": parts,
+            "part_size": q,
+            "edge_count": len(edge_list),
+            "edges": edge_list,
+            "nodes": nodes,
+            "certified": certified,
+        }
+
     def test_rejects_large_instances(self):
         with pytest.raises(ValueError):
             rainbow_free_extremal_search(7, 2, [3])
@@ -282,6 +322,50 @@ class TestRainbowFreeSearch:
     def test_rejects_bad_lengths(self):
         with pytest.raises(ValueError):
             rainbow_free_extremal_search(4, 2, [2])
+
+
+def _brute_cycle_through(new, edges, parts, ks):
+    """True iff a rainbow k-cycle, k in ks, runs through new and distinct `edges`.
+
+    From the definition: consecutive edges (cyclically) share a vertex, and
+    one shared vertex per consecutive pair can be picked in k distinct parts.
+    """
+    for k in ks:
+        for seq in permutations(edges, k - 1):
+            cycle = [new, *seq]
+            shared = [
+                [p for p in range(parts) if cycle[i - 1][p] == cycle[i][p]] for i in range(k)
+            ]
+            if any(len(set(pick)) == k for pick in product(*shared)):
+                return True
+    return False
+
+
+def _linear_with(e, edges):
+    return all(sum(a == b for a, b in zip(e, f)) <= 1 for f in edges)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_closes_cycle_matches_definition(data):
+    parts = data.draw(st.integers(3, 6))
+    q = data.draw(st.integers(2, 4))
+    ks = tuple(sorted(data.draw(st.sets(st.integers(3, parts), min_size=1))))
+    pool = list(product(range(q), repeat=parts))
+    data.draw(st.randoms(use_true_random=False)).shuffle(pool)
+    edges = []
+    for e in pool:
+        if len(edges) < 8 and _linear_with(e, edges):
+            edges.append(e)
+    new = edges.pop(data.draw(st.integers(0, len(edges) - 1)))
+    searcher = _RainbowFreeSearch(parts, q, ks, node_budget=0)
+    for e in edges:
+        searcher.push(searcher.candidates.index(e))
+    got = searcher.closes_cycle(searcher.candidates.index(new))
+    assert got == _brute_cycle_through(new, edges, parts, ks)
+    for _ in edges:
+        searcher.pop()
+    assert not any(searcher.incidence)
 
 
 class TestCapacityLaws:
