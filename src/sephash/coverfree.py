@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from .matrix import Matrix, _certify
 from .verification import PreconditionError, find_violation
@@ -55,14 +54,28 @@ def is_cff(m: Matrix, w: int) -> tuple[int, tuple[int, ...]] | None:
     if m.cols <= w:
         return None
     masks = _column_masks(m)
+
+    def first_cover(target, others, start, union, left):
+        # Combinations of others[start:] in lexicographic order, with the
+        # union of the members already chosen carried down.
+        if left == 1:
+            need = target & ~union
+            for j in others[start:]:
+                if masks[j] & need == need:
+                    return (j,)
+            return None
+        for i in range(start, len(others) - left + 1):
+            j = others[i]
+            rest = first_cover(target, others, i + 1, union | masks[j], left - 1)
+            if rest is not None:
+                return (j,) + rest
+        return None
+
     for a0 in range(m.cols):
         others = [j for j in range(m.cols) if j != a0]
-        for cover in combinations(others, w):
-            union = 0
-            for j in cover:
-                union |= masks[j]
-            if masks[a0] & ~union == 0:
-                return (a0, cover)
+        cover = first_cover(masks[a0], others, 0, 0, w)
+        if cover is not None:
+            return (a0, cover)
     return None
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .matrix import Matrix, _certify
-from .verification import ViolationWitness, row_separates
+from .verification import ViolationWitness, _first_nonlinear_pair, row_separates
 
 
 @dataclass(frozen=True)
@@ -107,11 +107,7 @@ def hypergraph_to_matrix(h: PartiteHypergraph) -> Matrix:
 
 def is_linear_hypergraph(h: PartiteHypergraph) -> bool:
     """True iff all distinct edge pairs meet in at most one vertex."""
-    for a, b in combinations(range(len(h.edges)), 2):
-        shared = sum(1 for i in range(h.parts) if h.edges[a][i] == h.edges[b][i])
-        if shared > 1:
-            return False
-    return True
+    return _first_nonlinear_pair(h.edges) is None
 
 
 def _shared_parts(h: PartiteHypergraph, a: int, b: int) -> tuple[int, ...]:

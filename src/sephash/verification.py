@@ -2,8 +2,9 @@
 
 A matrix is {w1,...,wt}-separating when every choice of pairwise disjoint
 column sets C1,...,Ct with |Ci| = wi admits a row on which the symbol sets
-of the parts are pairwise disjoint.  find_violation decides this exactly
-and returns a reproducible certificate when the property fails.
+of the parts are pairwise disjoint.  find_violation decides this exactly,
+in one pass over the part tuples that carries the OR of the rows left
+unseparated, and returns a reproducible certificate when the property fails.
 
 Everything here is pure and operates on immutable matrices; calls are safe
 to run concurrently.
@@ -11,8 +12,10 @@ to run concurrently.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from operator import eq, or_
 
 from .matrix import Matrix, normalize_weights
 
@@ -73,86 +76,88 @@ def row_separates(m: Matrix, row: int, parts) -> bool:
     )
 
 
-def _pair_agreement_masks(m: Matrix) -> list[list[int]]:
-    """masks[i][j] has bit r set iff columns i and j agree on row r."""
-    cols = m.columns()
-    n = m.cols
-    masks = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ci = cols[i]
-        for j in range(i + 1, n):
-            cj = cols[j]
-            mask = 0
-            for r in range(m.rows):
-                if ci[r] == cj[r]:
-                    mask |= 1 << r
-            masks[i][j] = mask
-            masks[j][i] = mask
-    return masks
-
-
-def _part_tuples(n: int, weights: tuple[int, ...]):
-    """Yield disjoint part tuples in canonical lexicographic order.
-
-    Parts are filled in ascending-size order; consecutive equal-size parts
-    are forced to ascend by smallest member so each unordered choice is
-    enumerated once.
-    """
-
-    def rec(parts, used):
-        k = len(parts)
-        if k == len(weights):
-            yield tuple(parts)
-            return
-        w = weights[k]
-        free = [c for c in range(n) if c not in used]
-        for combo in combinations(free, w):
-            if k > 0 and weights[k - 1] == w and combo[0] < parts[-1][0]:
-                continue
-            parts.append(combo)
-            used.update(combo)
-            yield from rec(parts, used)
-            used.difference_update(combo)
-            parts.pop()
-
-    yield from rec([], set())
-
-
 def find_violation(m: Matrix, weights) -> ViolationWitness | None:
     """Exact separation oracle.
 
     Returns None iff the matrix is {w1,...,wt}-separating.  When it is not,
-    returns the first violating part tuple in the canonical enumeration
-    order.  Matrices with fewer than u columns are vacuously separating.
+    returns the first violating part tuple in the canonical order: parts in
+    ascending-size order, each an ascending column combination, tuples in
+    lexicographic order, and equal-size neighbours ascending by smallest
+    member.  Matrices with fewer than u columns are vacuously separating.
+
+    One depth-first pass carries bad, the rows already unseparated, and
+    reach[z], the OR of completed parts' agreement rows with z; the last
+    member is the first free z whose reach covers the rows not yet bad.
+    Agreement rows are built lazily from per-row symbol classes.
     """
-    w = normalize_weights(weights)
-    if m.cols < w.u:
+    sizes = normalize_weights(weights).weights
+    n = m.cols
+    if n < sum(sizes):
         return None
-    masks = _pair_agreement_masks(m)
     full = (1 << m.rows) - 1
-    for parts in _part_tuples(m.cols, w.weights):
-        bad = 0
-        for pi, pj in combinations(parts, 2):
-            for x in pi:
-                row_x = masks[x]
-                for y in pj:
-                    bad |= row_x[y]
-            if bad == full:
-                break
-        if bad == full:
-            return ViolationWitness(parts)
+    classes: list[dict[int, list[int]]] = [{} for _ in m.entries]
+    for by_symbol, row in zip(classes, m.entries):
+        for z, s in enumerate(row):
+            by_symbol.setdefault(s, []).append(z)
+    agreement: list[list[int] | None] = [None] * n
+
+    def agreement_row(x: int) -> list[int]:
+        if agreement[x] is None:
+            got = agreement[x] = [0] * n
+            for r, (row, by_symbol) in enumerate(zip(m.entries, classes)):
+                for z in by_symbol[row[x]]:
+                    got[z] |= 1 << r
+        return agreement[x]
+
+    used = [False] * n
+    parts: list[list[int]] = [[] for _ in sizes]
+
+    def place(k: int, start: int, bad: int, reach: list[int]) -> bool:
+        part = parts[k]
+        left = sizes[k] - len(part) - 1
+        if left == 0 and k == len(sizes) - 1:
+            need = full & ~bad
+            for z in range(start, n):
+                if reach[z] & need == need and not used[z]:
+                    part.append(z)
+                    return True
+            return False
+        for z in range(start, n - left):
+            if used[z]:
+                continue
+            used[z] = True
+            part.append(z)
+            if left:
+                found = place(k, z + 1, bad | reach[z], reach)
+            else:
+                grown = reach
+                for x in part:
+                    grown = list(map(or_, grown, agreement_row(x)))
+                nxt = part[0] + 1 if sizes[k + 1] == sizes[k] else 0
+                found = place(k + 1, nxt, bad | reach[z], grown)
+            if found:
+                return True
+            part.pop()
+            used[z] = False
+        return False
+
+    if place(0, 0, 0, [0] * n):
+        return ViolationWitness(tuple(tuple(p) for p in parts))
+    return None
+
+
+def _first_nonlinear_pair(columns) -> tuple[int, int, int] | None:
+    """First (i, j, agreements), i < j lexicographic, with agreements > 1."""
+    for (i, a), (j, b) in combinations(enumerate(columns), 2):
+        agreements = sum(map(eq, a, b))
+        if agreements > 1:
+            return i, j, agreements
     return None
 
 
 def is_linear_shf(m: Matrix) -> bool:
     """True iff every pair of distinct columns agrees in at most one row."""
-    cols = m.columns()
-    for i in range(m.cols):
-        for j in range(i + 1, m.cols):
-            agreements = sum(1 for a, b in zip(cols[i], cols[j]) if a == b)
-            if agreements > 1:
-                return False
-    return True
+    return _first_nonlinear_pair(m.columns()) is None
 
 
 def special_columns(m: Matrix) -> list[SpecialColumnReport]:
@@ -160,13 +165,11 @@ def special_columns(m: Matrix) -> list[SpecialColumnReport]:
 
     Reports the lowest witnessing row per column.
     """
+    counts = [Counter(row) for row in m.entries]
     reports = []
     for x in range(m.cols):
-        for i in range(m.rows):
-            sym = m.entries[i][x]
-            sharers = sum(
-                1 for y in range(m.cols) if y != x and m.entries[i][y] == sym
-            )
+        for i, (row, count) in enumerate(zip(m.entries, counts)):
+            sharers = count[row[x]] - 1
             if sharers <= 1:
                 reports.append(SpecialColumnReport(x, i, sharers))
                 break
@@ -206,15 +209,12 @@ def extract_linear_subfamily(m: Matrix) -> Matrix:
     if m.rows != 4:
         raise PreconditionError("defined only for matrices with exactly 4 rows")
     survivor, _ = extract_nonspecial_subfamily(m)
-    cols = survivor.columns()
-    for i in range(survivor.cols):
-        for j in range(i + 1, survivor.cols):
-            agreements = sum(1 for a, b in zip(cols[i], cols[j]) if a == b)
-            if agreements > 1:
-                err = PreconditionError(
-                    "input is not {2,2}-separating: survivor columns "
-                    f"{i} and {j} agree in {agreements} rows"
-                )
-                err.pair = (i, j)
-                raise err
+    pair = _first_nonlinear_pair(survivor.columns())
+    if pair is not None:
+        err = PreconditionError(
+            "input is not {{2,2}}-separating: survivor columns "
+            "{} and {} agree in {} rows".format(*pair)
+        )
+        err.pair = pair[:2]
+        raise err
     return survivor

@@ -23,7 +23,7 @@ from sephash.matrix import CertificationError, Matrix
 from sephash.search import identity_construction
 from sephash.verification import PreconditionError, find_violation
 
-from helpers import random_matrix
+from helpers import naive_first_cover, random_matrix
 
 
 def identity(n):
@@ -65,6 +65,17 @@ class TestIsCff:
     def test_rejects_nonbinary(self):
         with pytest.raises(PreconditionError):
             is_cff(Matrix(((0, 2),), 3), 1)
+
+    def test_witness_matches_brute_force(self):
+        rng = random.Random(23)
+        found = 0
+        for _ in range(400):
+            m = random_matrix(rng, rng.randint(1, 6), rng.randint(0, 8), 2)
+            w = rng.randint(1, 3)
+            got = is_cff(m, w)
+            assert got == naive_first_cover(m, w)
+            found += got is not None
+        assert 0 < found < 400
 
 
 class TestDerived:

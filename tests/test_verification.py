@@ -3,10 +3,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sephash.matrix import Matrix
-from sephash.search import cyclic_overlap_matrix, identity_construction
+from sephash.search import cyclic_overlap_matrix, identity_construction, reed_solomon_frameproof
 from sephash.verification import (
     PreconditionError,
     SpecialColumnReport,
@@ -19,7 +19,12 @@ from sephash.verification import (
     special_columns,
 )
 
-from helpers import naive_is_separating, random_matrix
+from helpers import (
+    naive_is_separating,
+    naive_special_columns,
+    random_matrix,
+    reference_find_violation,
+)
 
 
 @pytest.fixture
@@ -110,6 +115,60 @@ class TestFindViolation:
             assert find_violation(m, [1, 2]) is None
 
 
+def late_collision_rs552():
+    """RS(5,5,2) with column 124 rewritten in the two rows where neither 56
+    nor 58 shares its symbol, so no row separates {124} from {56, 58}.  The
+    first certificate in canonical order follows 152,764 of the 953,250
+    canonical tuples."""
+    rows = [list(r) for r in reed_solomon_frameproof(5, 5, 2).entries]
+    for r in rows:
+        if r[124] not in (r[56], r[58]):
+            r[124] = r[56]
+    return Matrix(tuple(map(tuple, rows)), 5)
+
+
+# First certificates in canonical order, recorded with the full-enumeration
+# oracle (tests/helpers.reference_find_violation) that the kernel replaced.
+PINNED_WITNESSES = [
+    ("RS(11,4,2)", lambda: reed_solomon_frameproof(11, 4, 2), (2, 2), ((0, 11), (1, 43))),
+    ("RS(5,5,2) late collision", late_collision_rs552, (1, 2), ((20,), (1, 124))),
+    ("cyclic overlap 6x6 q=5", lambda: cyclic_overlap_matrix(6, 5), (3, 3), ((0, 2, 4), (1, 3, 5))),
+    ("RS(5,3,2)", lambda: reed_solomon_frameproof(5, 3, 2), (2, 2), ((0, 1), (2, 14))),
+    ("RS(5,3,2)", lambda: reed_solomon_frameproof(5, 3, 2), (1, 1, 1), ((0,), (1,), (14,))),
+    ("RS(5,5,3)", lambda: reed_solomon_frameproof(5, 5, 3), (1, 1, 2), ((0,), (1,), (7, 9))),
+    ("RS(7,4,2)", lambda: reed_solomon_frameproof(7, 4, 2), (1, 3), None),
+]
+
+
+@pytest.mark.parametrize(
+    "name,build,weights,parts", PINNED_WITNESSES, ids=[f"{p[0]} {p[2]}" for p in PINNED_WITNESSES]
+)
+def test_pinned_witness(name, build, weights, parts):
+    got = find_violation(build(), weights)
+    assert (got and got.parts) == parts
+
+
+@st.composite
+def small_matrices(draw):
+    q = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(1, 6))
+    n_cols = draw(st.integers(0, 11))
+    cells = st.integers(0, q - 1)
+    return Matrix(tuple(tuple(draw(cells) for _ in range(n_cols)) for _ in range(n_rows)), q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=small_matrices(),
+    weights=st.sampled_from([(1, 1), (1, 2), (2, 2), (1, 1, 2), (1, 2, 2), (2, 2, 2), (1, 1, 1, 1), (3, 3)]),
+)
+@example(m=Matrix(((0, 0, 0),), 1), weights=(2, 2))
+@example(m=Matrix(((0, 0, 0, 0), (0, 0, 0, 0)), 1), weights=(1, 1, 2))
+@example(m=Matrix(((), ()), 2), weights=(1, 1))
+def test_find_violation_matches_reference_witness(m, weights):
+    assert find_violation(m, weights) == reference_find_violation(m, weights)
+
+
 class TestLinearity:
     def test_identity_linear(self):
         assert is_linear_shf(identity_construction(3, 1))
@@ -137,6 +196,13 @@ class TestSpecialColumns:
         col = (0, 1, 0, 1)
         m = Matrix(tuple((s, s, s) for s in col), 2)
         assert special_columns(m) == []
+
+    def test_matches_naive_scan(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            m = random_matrix(rng, rng.randint(1, 5), rng.randint(0, 15), rng.randint(1, 4))
+            got = [(r.column, r.row, r.sharers) for r in special_columns(m)]
+            assert got == naive_special_columns(m)
 
     def test_report_rejects_bad_sharer_count(self):
         with pytest.raises(ValueError):
@@ -208,7 +274,35 @@ class TestExtractLinearSubfamily:
         m = Matrix(tuple(zip(*cols)), chain4.q)
         with pytest.raises(PreconditionError) as err:
             extract_linear_subfamily(m)
-        assert hasattr(err.value, "pair")
+        assert err.value.pair == (0, 1)
+        assert str(err.value) == (
+            "input is not {2,2}-separating: survivor columns 0 and 1 agree in 4 rows"
+        )
+
+    def test_reports_first_nonlinear_pair(self):
+        rng = random.Random(17)
+        raised = 0
+        for _ in range(150):
+            m = random_matrix(rng, 4, rng.randint(1, 30), rng.randint(2, 4))
+            survivor, _ = extract_nonspecial_subfamily(m)
+            cols = survivor.columns()
+            first = next(
+                (
+                    (i, j)
+                    for i in range(len(cols))
+                    for j in range(i + 1, len(cols))
+                    if sum(a == b for a, b in zip(cols[i], cols[j])) > 1
+                ),
+                None,
+            )
+            if first is None:
+                assert extract_linear_subfamily(m) == survivor
+                continue
+            with pytest.raises(PreconditionError) as err:
+                extract_linear_subfamily(m)
+            assert err.value.pair == first
+            raised += 1
+        assert raised > 0
 
     def test_distinct_symbol_columns_survive(self):
         # Columns j -> constant j: any two columns agree in no row.
