@@ -9,12 +9,19 @@ in k distinct parts; consecutive edges share the vertex between them.
 Finding a rainbow cycle of even length 2w that touches every part certifies
 that no row separates the odd-position edges from the even-position ones,
 which converts directly into a separation violation witness.
+
+find_rainbow_cycle is one depth-first walk over bitmasks: vertex (i, s) is
+bit i*q + s of an edge's vertex mask, and a vertex's incidence mask holds
+the edges through it.  Each path keeps the least part sequence for every
+set of parts its shared vertices can use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from .matrix import Matrix, _certify
 from .verification import ViolationWitness, _first_nonlinear_pair, row_separates
@@ -110,87 +117,73 @@ def is_linear_hypergraph(h: PartiteHypergraph) -> bool:
     return _first_nonlinear_pair(h.edges) is None
 
 
-def _shared_parts(h: PartiteHypergraph, a: int, b: int) -> tuple[int, ...]:
-    ea, eb = h.edges[a], h.edges[b]
-    return tuple(i for i in range(h.parts) if ea[i] == eb[i])
+def _vertex_masks(edges, q: int) -> list[int]:
+    """One mask per edge: vertex (part, symbol) is bit part*q + symbol."""
+    return [sum(1 << (i * q + s) for i, s in enumerate(e)) for e in edges]
 
 
-def _assign_cycle_parts(domains: list[tuple[int, ...]]) -> list[int] | None:
-    """Pick one part per position, all distinct; first solution in part order."""
-    chosen: list[int] = []
-    used: set[int] = set()
-
-    def rec(i: int) -> bool:
-        if i == len(domains):
-            return True
-        for p in domains[i]:
-            if p not in used:
-                used.add(p)
-                chosen.append(p)
-                if rec(i + 1):
-                    return True
-                chosen.pop()
-                used.remove(p)
-        return False
-
-    return chosen if rec(0) else None
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
 
 def find_rainbow_cycle(h: PartiteHypergraph, k: int) -> RainbowCycle | None:
     """Search for a rainbow cycle of length exactly k.
 
     Deterministic: returns the cycle whose edge-index sequence is
-    lexicographically least, normalized to start at its smallest edge index.
-    Callers wanting any length iterate k = 3..r ascending.
+    lexicographically least (so it starts at its smallest edge index) and,
+    for that sequence, the lexicographically least tuple of vertex parts
+    (p0, ..., p(k-1)) in RainbowCycle.vertices order, the closing vertex
+    (shared by the last and first edges) first.  Callers wanting any length
+    iterate k = 3..r ascending.
     """
     if not 3 <= k <= h.parts:
         raise ValueError(f"cycle length must lie in [3, {h.parts}]")
     m = len(h.edges)
     if m < k:
         return None
-    shared_cache: dict[tuple[int, int], tuple[int, ...]] = {}
+    q = h.part_size
+    masks = _vertex_masks(h.edges, q)
+    incidence = [0] * (h.parts * q)
+    for j, mask in enumerate(masks):
+        for v in _bits(mask):
+            incidence[v] |= 1 << j
+    # reach[j]: the edges meeting edge j, itself included.
+    reach = [reduce(or_, map(incidence.__getitem__, _bits(mask)), 0) for mask in masks]
 
-    def shared(a: int, b: int) -> tuple[int, ...]:
-        key = (a, b) if a < b else (b, a)
-        got = shared_cache.get(key)
-        if got is None:
-            got = _shared_parts(h, key[0], key[1])
-            shared_cache[key] = got
-        return got
-
-    def close_cycle(seq: list[int]) -> RainbowCycle | None:
-        # Domains of the k shared vertices; position 0 closes the cycle.
-        domains = [shared(seq[-1], seq[0])]
-        domains += [shared(seq[i - 1], seq[i]) for i in range(1, k)]
-        if any(not d for d in domains):
-            return None
-        parts = _assign_cycle_parts(domains)
-        if parts is None:
-            return None
-        vertices = []
-        for i, p in enumerate(parts):
-            vertices.append((p, h.edges[seq[i]][p]))
-        return RainbowCycle(tuple(vertices), tuple(seq))
-
-    def extend(seq: list[int], used: set[int]) -> RainbowCycle | None:
+    def walk(seq: tuple[int, ...], used: int, options: dict) -> RainbowCycle | None:
+        # options: used-parts mask -> least part sequence of seq's shared vertices.
+        last = seq[-1]
         if len(seq) == k:
-            return close_cycle(seq)
-        for e in range(seq[0] + 1, m):
-            if e in used:
-                continue
-            if not shared(seq[-1], e):
-                continue
-            seq.append(e)
-            used.add(e)
-            found = extend(seq, used)
-            if found is not None:
-                return found
-            used.remove(e)
-            seq.pop()
+            for v in _bits(masks[last] & masks[seq[0]]):
+                p = v // q
+                free = [parts for mask, parts in options.items() if not mask >> p & 1]
+                if free:
+                    parts = (p,) + min(free)
+                    vertices = tuple((p, h.edges[e][p]) for p, e in zip(parts, seq))
+                    return RainbowCycle(vertices, seq)
+            return None
+        for e in _bits(reach[last] & ~used):
+            grown: dict[int, tuple[int, ...]] = {}
+            for v in _bits(masks[last] & masks[e]):
+                p = v // q
+                for mask, parts in options.items():
+                    if not mask >> p & 1:
+                        key, ext = mask | 1 << p, parts + (p,)
+                        if key not in grown or ext < grown[key]:
+                            grown[key] = ext
+            if grown:
+                found = walk(seq + (e,), used | 1 << e, grown)
+                if found is not None:
+                    return found
         return None
 
-    for first in range(m):
-        found = extend([first], {first})
+    for first in range(m - k + 1):
+        # Edges up to first are used: later edges all have larger indices.
+        found = walk((first,), (2 << first) - 1, {0: ()})
         if found is not None:
             return found
     return None

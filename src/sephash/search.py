@@ -1,11 +1,10 @@
 """Constructive lower-bound witnesses and exact small-instance search.
 
-Constructions self-certify: each output is re-checked by the separation
-oracle before being returned, and a failed re-check raises
-CertificationError (an explicit raise, so it also runs under python -O).
-The one exception is reed_solomon_frameproof, which silently skips its
-oracle check when that would enumerate more than _SELF_CHECK_TUPLE_LIMIT
-part tuples.
+Constructions self-certify: each output is re-checked before being
+returned, by the separation oracle or, for reed_solomon_frameproof, by the
+pairwise column agreement that proves {1, w}-separation, and a failed
+re-check raises CertificationError (an explicit raise, so it also runs
+under python -O).
 
 exact_capacity enumerates column sets in canonical form: per-row symbol
 relabeling maps some column of any family to the all-zero column, which is
@@ -40,15 +39,13 @@ from itertools import combinations, product
 from .bounds import all_distinct_probability
 from .hypergraph import (
     PartiteHypergraph,
+    _vertex_masks,
     find_rainbow_cycle,
     is_linear_hypergraph,
 )
 # CertificationError is re-exported: sephash.search.CertificationError stays.
 from .matrix import CertificationError, Matrix, SeparationType, _certify, normalize_weights
-from .verification import PreconditionError, find_violation
-
-# Upper limit on enumerated part tuples for in-constructor verification.
-_SELF_CHECK_TUPLE_LIMIT = 2_000_000
+from .verification import PreconditionError, _first_nonlinear_pair, find_violation
 
 _DEFAULT_NODE_BUDGET = 5_000_000
 
@@ -87,20 +84,15 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _frameproof_check_cost(n: int, w: int, rows: int) -> int:
-    cost = n
-    for i in range(w):
-        cost = cost * (n - 1 - i) // (i + 1)
-    return cost * rows
-
-
 def reed_solomon_frameproof(q: int, n_rows: int, w: int) -> Matrix:
     """Polynomial evaluation code over a prime field as a {1, w}-separating family.
 
     Columns are the evaluations of all q**k polynomials of degree < k at the
     points 0..N-1, with k = ceil(N / w).  Two distinct columns agree in at
-    most k - 1 < N/w positions, so a column can collide with w others in
-    fewer than N rows and some row separates it from all of them.
+    most a = k - 1 = (N - 1) // w positions, so a column collides with w
+    others in at most a*w < N rows and some row separates it from all of
+    them.  The returned code is certified by that argument: no column pair
+    may agree in more than a rows, which is checked directly.
     """
     if not _is_prime(q):
         raise PreconditionError(f"{q} is not prime; only prime fields are supported")
@@ -121,8 +113,11 @@ def reed_solomon_frameproof(q: int, n_rows: int, w: int) -> Matrix:
         columns.append(tuple(col))
     m = Matrix(tuple(zip(*columns)), q)
     _certify(m.cols == q**k, f"code has q**k = {q**k} columns")
-    if _frameproof_check_cost(m.cols, w, n_rows) <= _SELF_CHECK_TUPLE_LIMIT:
-        _certify(find_violation(m, [1, w]) is None, f"code is {{1, {w}}}-separating")
+    a = (n_rows - 1) // w
+    _certify(
+        _first_nonlinear_pair(columns, a) is None,
+        f"no two columns agree in more than {a} rows (a*w < N proves {{1, {w}}})",
+    )
     return m
 
 
@@ -457,7 +452,8 @@ class RainbowFreeResult:
 class _RainbowFreeSearch:
     """Subset search over candidate edges with bitmask linearity and cycle tests.
 
-    Vertex (i, s) is bit i*q + s of an edge's vertex mask.  Each vertex pair
+    Vertex masks follow hypergraph._vertex_masks, where vertex (i, s) is bit
+    i*q + s, and incidence is indexed by the same bit number.  Each vertex pair
     in distinct parts owns one bit of the pair masks, so two edges share two
     vertices iff their pair masks meet, and a candidate is linear with the
     chosen edges iff its pair mask misses the OR of theirs.
@@ -473,9 +469,7 @@ class _RainbowFreeSearch:
         self.candidates = [tuple(e) for e in product(range(part_size), repeat=parts)]
         part_pairs = list(combinations(range(parts), 2))
         q = part_size
-        self.vertex_mask = [
-            sum(1 << (i * q + s) for i, s in enumerate(e)) for e in self.candidates
-        ]
+        self.vertex_mask = _vertex_masks(self.candidates, q)
         self.pair_mask = [
             sum(1 << ((n * q + e[i]) * q + e[j]) for n, (i, j) in enumerate(part_pairs))
             for e in self.candidates

@@ -146,11 +146,11 @@ def find_violation(m: Matrix, weights) -> ViolationWitness | None:
     return None
 
 
-def _first_nonlinear_pair(columns) -> tuple[int, int, int] | None:
-    """First (i, j, agreements), i < j lexicographic, with agreements > 1."""
+def _first_nonlinear_pair(columns, limit: int = 1) -> tuple[int, int, int] | None:
+    """First (i, j, agreements), i < j lexicographic, with agreements > limit."""
     for (i, a), (j, b) in combinations(enumerate(columns), 2):
         agreements = sum(map(eq, a, b))
-        if agreements > 1:
+        if agreements > limit:
             return i, j, agreements
     return None
 

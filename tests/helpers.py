@@ -4,12 +4,15 @@ The naive separation oracle here deliberately avoids every shortcut used by
 the library (no bitmasks, no deduplication, no pruning): it enumerates all
 positional part tuples and applies the definition row by row.  The reference
 witness oracle is the library's earlier find_violation, kept as the model
-that the one-pass kernel's certificates must match exactly.
+that the one-pass kernel's certificates must match exactly; likewise the
+reference rainbow-cycle search is the earlier find_rainbow_cycle, which
+assigns parts to each closed edge sequence by backtracking.
 """
 
 from itertools import combinations
 import random
 
+from sephash.hypergraph import PartiteHypergraph, RainbowCycle
 from sephash.matrix import Matrix, normalize_weights
 from sephash.verification import ViolationWitness
 
@@ -96,6 +99,92 @@ def reference_find_violation(m, weights):
                 break
         if bad == full:
             return ViolationWitness(parts)
+    return None
+
+
+def _shared_parts(h: PartiteHypergraph, a: int, b: int) -> tuple[int, ...]:
+    ea, eb = h.edges[a], h.edges[b]
+    return tuple(i for i in range(h.parts) if ea[i] == eb[i])
+
+
+def _assign_cycle_parts(domains: list[tuple[int, ...]]) -> list[int] | None:
+    """Pick one part per position, all distinct; first solution in part order."""
+    chosen: list[int] = []
+    used: set[int] = set()
+
+    def rec(i: int) -> bool:
+        if i == len(domains):
+            return True
+        for p in domains[i]:
+            if p not in used:
+                used.add(p)
+                chosen.append(p)
+                if rec(i + 1):
+                    return True
+                chosen.pop()
+                used.remove(p)
+        return False
+
+    return chosen if rec(0) else None
+
+
+def reference_find_rainbow_cycle(h: PartiteHypergraph, k: int) -> RainbowCycle | None:
+    """Search for a rainbow cycle of length exactly k.
+
+    Deterministic: returns the cycle whose edge-index sequence is
+    lexicographically least, normalized to start at its smallest edge index.
+    Callers wanting any length iterate k = 3..r ascending.
+    """
+    if not 3 <= k <= h.parts:
+        raise ValueError(f"cycle length must lie in [3, {h.parts}]")
+    m = len(h.edges)
+    if m < k:
+        return None
+    shared_cache: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def shared(a: int, b: int) -> tuple[int, ...]:
+        key = (a, b) if a < b else (b, a)
+        got = shared_cache.get(key)
+        if got is None:
+            got = _shared_parts(h, key[0], key[1])
+            shared_cache[key] = got
+        return got
+
+    def close_cycle(seq: list[int]) -> RainbowCycle | None:
+        # Domains of the k shared vertices; position 0 closes the cycle.
+        domains = [shared(seq[-1], seq[0])]
+        domains += [shared(seq[i - 1], seq[i]) for i in range(1, k)]
+        if any(not d for d in domains):
+            return None
+        parts = _assign_cycle_parts(domains)
+        if parts is None:
+            return None
+        vertices = []
+        for i, p in enumerate(parts):
+            vertices.append((p, h.edges[seq[i]][p]))
+        return RainbowCycle(tuple(vertices), tuple(seq))
+
+    def extend(seq: list[int], used: set[int]) -> RainbowCycle | None:
+        if len(seq) == k:
+            return close_cycle(seq)
+        for e in range(seq[0] + 1, m):
+            if e in used:
+                continue
+            if not shared(seq[-1], e):
+                continue
+            seq.append(e)
+            used.add(e)
+            found = extend(seq, used)
+            if found is not None:
+                return found
+            used.remove(e)
+            seq.pop()
+        return None
+
+    for first in range(m):
+        found = extend([first], {first})
+        if found is not None:
+            return found
     return None
 
 

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sephash.hypergraph import (
     PartiteHypergraph,
@@ -18,7 +19,7 @@ from sephash.matrix import Matrix
 from sephash.search import cyclic_overlap_matrix
 from sephash.verification import find_violation, is_linear_shf, row_separates
 
-from helpers import random_linear_extension, random_matrix
+from helpers import random_linear_extension, random_matrix, reference_find_rainbow_cycle
 
 
 @pytest.fixture
@@ -122,6 +123,66 @@ class TestFindRainbowCycle:
     def test_no_short_cycle_in_chain(self, chain4):
         h = matrix_to_hypergraph(chain4)
         assert find_rainbow_cycle(h, 3) is None
+
+
+# Tie-breaks recorded from the earlier implementation (now
+# reference_find_rainbow_cycle): the closing vertex's part ranks first.
+PINNED_CYCLES = [
+    (
+        PartiteHypergraph(4, 3, ((1, 0, 2, 0), (1, 2, 1, 1), (2, 0, 2, 1), (1, 0, 2, 1))),
+        4,
+        RainbowCycle(((1, 0), (0, 1), (3, 1), (2, 2)), (0, 1, 2, 3)),
+    ),
+    (
+        PartiteHypergraph(
+            6,
+            3,
+            (
+                (1, 2, 2, 0, 0, 2),
+                (1, 2, 2, 0, 0, 1),
+                (1, 0, 0, 2, 2, 2),
+                (0, 2, 1, 1, 2, 2),
+                (2, 2, 0, 2, 0, 2),
+                (0, 0, 0, 0, 0, 2),
+                (0, 1, 1, 1, 2, 0),
+            ),
+        ),
+        5,
+        RainbowCycle(((1, 2), (2, 2), (0, 1), (4, 2), (5, 2)), (0, 1, 2, 3, 4)),
+    ),
+]
+
+
+@pytest.mark.parametrize("h, k, expected", PINNED_CYCLES, ids=["4-parts", "6-parts"])
+def test_pinned_tie_break(h, k, expected):
+    assert reference_find_rainbow_cycle(h, k) == expected
+    assert find_rainbow_cycle(h, k) == expected
+
+
+@st.composite
+def partite_hypergraphs(draw):
+    """Random hypergraphs, half of them linear (edges kept greedily)."""
+    parts = draw(st.integers(3, 6))
+    q = draw(st.integers(1, 4))
+    edge = st.tuples(*[st.integers(0, q - 1)] * parts)
+    edges = draw(st.lists(edge, max_size=10))
+    if draw(st.booleans()):
+        kept = []
+        for e in edges:
+            if all(sum(a == b for a, b in zip(e, f)) <= 1 for f in kept):
+                kept.append(e)
+        edges = kept
+    return PartiteHypergraph(parts, q, tuple(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=partite_hypergraphs())
+@example(h=PINNED_CYCLES[0][0])
+@example(h=PINNED_CYCLES[1][0])
+@example(h=PartiteHypergraph(3, 1, ((0, 0, 0),) * 4))
+def test_matches_reference_cycle(h):
+    for k in range(3, h.parts + 1):
+        assert find_rainbow_cycle(h, k) == reference_find_rainbow_cycle(h, k)
 
 
 class TestShadowGraph:

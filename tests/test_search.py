@@ -132,6 +132,15 @@ class TestReedSolomon:
         with pytest.raises(PreconditionError):
             reed_solomon_frameproof(3, 4, 2)
 
+    @pytest.mark.parametrize("q", [11, 13])
+    def test_large_codes_certified(self, q):
+        # Certified by agreement: columns meet in <= (N-1)//w = 1 row.
+        m = reed_solomon_frameproof(q, 4, 2)
+        assert (m.rows, m.cols) == (4, q * q)
+
+    def test_agreement_certificate_matches_oracle(self):
+        assert find_violation(reed_solomon_frameproof(11, 4, 2), [1, 2]) is None
+
 
 class TestCyclicOverlap:
     def test_shape_and_linearity(self):
@@ -386,6 +395,13 @@ class TestCertification:
         with pytest.raises(CertificationError):
             exact_capacity(2, 2, [1, 1])
 
+    def test_rejected_reed_solomon_agreement_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            "sephash.search._first_nonlinear_pair", lambda columns, limit=1: (0, 1, limit + 1)
+        )
+        with pytest.raises(CertificationError):
+            reed_solomon_frameproof(5, 4, 2)
+
     def test_rejected_capacity_witness_raises_under_optimize(self):
         script = (
             "import sys\n"
@@ -398,7 +414,24 @@ class TestCertification:
             "    sys.exit(0 if sys.flags.optimize else 3)\n"
             "sys.exit(1)\n"
         )
-        src = str(Path(sephash.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
-        assert done.returncode == 0
+        assert _run_optimized(script) == 0
+
+    def test_rejected_reed_solomon_agreement_raises_under_optimize(self):
+        script = (
+            "import sys\n"
+            "import sephash.search as s\n"
+            "s._first_nonlinear_pair = lambda columns, limit=1: (0, 1, limit + 1)\n"
+            "try:\n"
+            "    s.reed_solomon_frameproof(5, 4, 2)\n"
+            "except s.CertificationError:\n"
+            "    sys.exit(0 if sys.flags.optimize else 3)\n"
+            "sys.exit(1)\n"
+        )
+        assert _run_optimized(script) == 0
+
+
+def _run_optimized(script):
+    """Exit code of script run by python -O with this sephash importable."""
+    src = str(Path(sephash.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60).returncode
