@@ -6,12 +6,17 @@ positional part tuples and applies the definition row by row.  The reference
 witness oracle is the library's earlier find_violation, kept as the model
 that the one-pass kernel's certificates must match exactly; likewise the
 reference rainbow-cycle search is the earlier find_rainbow_cycle, which
-assigns parts to each closed edge sequence by backtracking.
+assigns parts to each closed edge sequence by backtracking.  The bound
+engine's references are the earlier separation polynomial and gradient,
+which sum all t! permutations, and the earlier Johnson-type dynamic
+program, which scans every step length.
 """
 
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, permutations
 import random
 
+from sephash.bounds import INF, _decrement_weight
 from sephash.hypergraph import PartiteHypergraph, RainbowCycle
 from sephash.matrix import Matrix, normalize_weights
 from sephash.verification import ViolationWitness
@@ -256,3 +261,63 @@ def random_binary_separating(rng: random.Random, n_rows, n_cols, w, attempts=400
         if find_violation(m, [1, w]) is None:
             return m
     return None
+
+
+@lru_cache(maxsize=16)
+def _perm_list(t: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(permutations(range(t)))
+
+
+def reference_rate_value(exps, point) -> float:
+    """Separation polynomial as the sum over all t! permutations."""
+    total = 0.0
+    for perm in _perm_list(len(exps)):
+        prod = 1.0
+        for i, e in enumerate(exps):
+            prod *= point[perm[i]] ** e
+        total += prod
+    return total
+
+
+def reference_rate_grad(exps, point) -> list[float]:
+    """Gradient of reference_rate_value, term by term over all permutations."""
+    t = len(exps)
+    grad = [0.0] * t
+    for perm in _perm_list(t):
+        vals = [point[perm[i]] ** exps[i] for i in range(t)]
+        for i, e in enumerate(exps):
+            if e == 0:
+                continue
+            rest = 1.0
+            for k in range(t):
+                if k != i:
+                    rest *= vals[k]
+            grad[perm[i]] += e * point[perm[i]] ** (e - 1) * rest
+    return grad
+
+
+@lru_cache(maxsize=None)
+def reference_johnson_value(n_rows: int, q: int, weights: tuple[int, ...]):
+    """Johnson-type dynamic program scanning every step length, own memo."""
+    t = len(weights)
+    u = sum(weights)
+    if t == 1:
+        return INF
+    if weights == (1, 1):
+        return q**n_rows
+    if n_rows <= 0:
+        return u - 1
+    if n_rows == 1:
+        return max(q, u - 1)
+    if n_rows <= u - 1:
+        return (u - 1) * q
+    best = INF
+    for i in sorted(set(weights)):
+        pos = weights.index(i) + 1
+        reduced = _decrement_weight(weights, pos)
+        for length in range(1, n_rows + 1):
+            tail = reference_johnson_value(n_rows - length, q, reduced)
+            step = q**length + max(u - 1, tail)
+            if step < best:
+                best = step
+    return best

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sephash.bounds import (
     FLAG_ASYMPTOTIC,
@@ -13,6 +16,10 @@ from sephash.bounds import (
     FLAG_UNCHECKED,
     INF,
     PROV_NIU_CAO,
+    PROV_SMALL_ALPHABET,
+    _johnson_value,
+    _rate_forward,
+    _rate_grad,
     all_distinct_probability,
     applicable_upper_bounds,
     balanced_grouping_bound,
@@ -31,6 +38,7 @@ from sephash.bounds import (
     trung_bound,
     vacuous_lower_bound,
 )
+from helpers import reference_johnson_value, reference_rate_grad, reference_rate_value
 
 
 def weight_multisets(max_u, min_t=2):
@@ -157,6 +165,19 @@ class TestJohnson:
     def test_small_row_counts_flagged(self):
         assert FLAG_MONOTONE_EXT in johnson_recursive_bound(1, 3, [2, 2]).flags
 
+    def test_early_exit_matches_full_scan(self):
+        # Exact equality, int against int and INF against INF, with the
+        # dynamic program that scans every step length.
+        types = [
+            w for t in range(1, 5) for w in combinations_with_replacement(range(1, 5), t)
+        ]
+        for q in range(2, 11):
+            for w in types:
+                for n_rows in range(61):
+                    got = _johnson_value(n_rows, q, w)
+                    want = reference_johnson_value(n_rows, q, w)
+                    assert got == want and type(got) is type(want), (n_rows, q, w)
+
 
 class TestGroupingComposition:
     def test_examples(self):
@@ -241,6 +262,92 @@ class TestSeparationRate:
         exact /= total
         asymptotic = separation_rate([2, 2], (0.3, 0.7))
         assert abs(exact - asymptotic) / asymptotic < 0.10
+
+
+def _close(got, want):
+    """1e-12 relative agreement, or exact when the reference is zero."""
+    if want == 0.0:
+        return got == 0.0
+    return abs(got - want) <= 1e-12 * abs(want)
+
+
+@st.composite
+def rate_cases(draw):
+    """Exponents 0-4 (weights 1-5) and a simplex point that may hold zeros."""
+    t = draw(st.integers(2, 6))
+    exps = tuple(draw(st.lists(st.integers(0, 4), min_size=t, max_size=t)))
+    counts = draw(st.lists(st.integers(0, 1000), min_size=t, max_size=t))
+    total = sum(counts) or 1
+    return exps, tuple(c / total for c in counts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=rate_cases())
+@example(case=((0, 0), (0.0, 0.0)))
+@example(case=((0, 3), (0.0, 1.0)))
+@example(case=((1, 1, 2), (0.0, 0.5, 0.5)))
+@example(case=((0, 2, 2, 4, 1, 3), (0.0, 0.1, 0.2, 0.0, 0.3, 0.4)))
+def test_rate_kernel_matches_permutation_sum(case):
+    exps, point = case
+    value, f, rows = _rate_forward(exps, point)
+    assert _close(value, reference_rate_value(exps, point))
+    grad = _rate_grad(exps, point, f, rows)
+    want = reference_rate_grad(exps, point)
+    assert len(grad) == len(want)
+    for got_j, want_j in zip(grad, want):
+        assert _close(got_j, want_j), (grad, want)
+
+
+# Maxima recorded with the permutation-sum objective.  The objective is
+# flat at a maximum, so a change in rounding moves the point much more
+# than the value: points are pinned to 1e-6 and values to 1e-9 relative.
+PINNED_MAXIMA = {
+    (2, 2, 3, 5): (
+        0.00036916419138656345,
+        (0.20734517852344533, 0.20734517852344556, 0.20734517852344578, 0.3779644644296633),
+    ),
+    (2, 3, 3, 4, 5): (
+        4.915200000000041e-07,
+        (0.19999999988970138, 0.1999999998909183, 0.19999999993731707, 0.2000000000768589, 0.20000000020520434),
+    ),
+    (2, 2, 2, 3, 3): (
+        0.001536000000000005,
+        (0.19999999967722445, 0.2000000000616093, 0.2000000000723494, 0.2000000000859586, 0.2000000001028582),
+    ),
+    (2, 2, 3): (
+        0.07407407407407417,
+        (0.33333333301910545, 0.33333333349044486, 0.3333333334904495),
+    ),
+    (3, 3, 3, 3): (
+        0.0003662109375000009,
+        (0.24999999926701605, 0.24999999926701605, 0.24999999926701605, 0.2500000021989519),
+    ),
+}
+
+
+@lru_cache(maxsize=None)
+def _maximum(weights):
+    return max_separation_rate(weights)
+
+
+class TestSimplexPinned:
+    @pytest.mark.parametrize("weights", sorted(PINNED_MAXIMA))
+    def test_pinned_maximum(self, weights):
+        value, point = PINNED_MAXIMA[weights]
+        r = _maximum(weights)
+        assert r.value == pytest.approx(value, rel=1e-9, abs=0.0)
+        assert r.point == pytest.approx(point, abs=1e-6)
+
+    @pytest.mark.parametrize("weights", [(2, 2, 3, 5), (2, 3, 3, 4, 5), (2, 2, 2, 3, 3)])
+    def test_converged_when_every_start_stops(self, weights):
+        assert _maximum(weights).converged is True
+
+    def test_not_converged_when_a_start_hits_the_cap(self):
+        # The maximum of p**3 q + p q**3 at p = 1/2 is quartic-flat, and 19
+        # of the 20 starts run into max_iterations.
+        r = max_separation_rate([2, 4])
+        assert r.converged is False
+        assert r.value == pytest.approx(0.125, abs=1e-12)
 
 
 class TestSimplexOptimizer:
@@ -353,6 +460,20 @@ class TestBestUpper:
     def test_vacuous_lower(self):
         b = vacuous_lower_bound([2, 2])
         assert b.value == 3 and FLAG_LOWER in b.flags
+
+    def test_large_unequal_type_skips_small_alphabet(self):
+        # t = 9 unequal weights: the optimizer is capped at t = 8, so the
+        # advisory small-alphabet bound is left out instead of raising.
+        w = [2] * 8 + [3]
+        provs = {b.provenance for b in applicable_upper_bounds(20, 9, w)}
+        assert PROV_SMALL_ALPHABET not in provs
+        assert {"johnson-recursion", "balanced-grouping", "uniform-grouping"} <= provs
+        assert best_upper_bound(20, 9, w).value >= vacuous_lower_bound(w).value
+
+    def test_large_equal_type_keeps_small_alphabet(self):
+        # Equal weights use the closed form, which holds for every t.
+        provs = {b.provenance for b in applicable_upper_bounds(20, 9, [2] * 9)}
+        assert PROV_SMALL_ALPHABET in provs
 
     def test_applicability_gates(self):
         provs = {b.provenance for b in applicable_upper_bounds(4, 3, [2, 2])}

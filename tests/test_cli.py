@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +110,15 @@ class TestBounds:
     def test_missing_args_exit_2(self):
         code, _ = run(["bounds", "4"])
         assert code == 2
+
+    def test_large_unequal_type_exits_0(self):
+        # The small-alphabet bound needs the simplex maximizer (t <= 8) for
+        # unequal weights; at t = 9 it is left out and the rest is listed.
+        code, out = run(["bounds", "20", "9", "2,2,2,2,2,2,2,2,3"])
+        assert code == 0
+        provs = {b["provenance"] for b in out}
+        assert {"johnson-recursion", "balanced-grouping", "uniform-grouping"} <= provs
+        assert "small-alphabet" not in provs
 
 
 class TestHypergraph:
@@ -233,3 +246,18 @@ class TestUsage:
         monkeypatch.setenv("SHF_JOBS", "abc")
         code, _ = run(["verify", corpus["identity4.txt"], "--type", "1,3"])
         assert code == 0
+
+    @pytest.mark.parametrize("module", ["sephash", "sephash.cli"])
+    def test_python_m_runs_from_a_checkout(self, module):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "bounds", "4", "3", "2,2"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert any(b["provenance"] == "johnson-recursion" for b in out)
