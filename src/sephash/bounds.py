@@ -234,6 +234,10 @@ def _johnson_value(n_rows: int, q: int, weights: tuple[int, ...]):
             if power + u - 1 >= best:
                 break
             tail = _johnson_value(n_rows - length, q, reduced)
+            if tail == INF:
+                # An unbounded step never wins, and power may be past the
+                # double range, where power + INF would overflow.
+                continue
             step = power + max(u - 1, tail)
             if step < best:
                 best = step
@@ -291,7 +295,12 @@ def prob_lower_bound(n_rows: int, q: int, weights) -> BoundResult:
     if w.u < 2:
         raise ValueError("need u >= 2")
     g = float(all_distinct_probability(q, w.u))
-    value = 2.0**-w.u * (1.0 - g) ** (-n_rows / (w.u - 1))
+    try:
+        value = 2.0**-w.u * (1.0 - g) ** (-n_rows / (w.u - 1))
+    except OverflowError:
+        raise ValueError(
+            f"probabilistic lower bound at N = {n_rows} is past the double range (1.8e308)"
+        ) from None
     return BoundResult(
         value,
         PROV_PROB_LOWER,
@@ -437,9 +446,10 @@ class SimplexMax:
     """Maximizer of the separation polynomial over the probability simplex.
 
     converged is True only when every start stopped by one of the
-    convergence tests (vanishing gradient, projected step below tolerance,
-    no cumulative progress for 50 iterations, or step size below 1e-11);
-    a single start that ran into max_iterations makes it False.
+    convergence tests (vanishing gradient, projected step below
+    _RATE_TOLERANCE, no cumulative progress for 50 iterations, or step
+    size below 1e-11); a single start that ran into _RATE_MAX_ITERATIONS
+    makes it False.
     """
 
     point: tuple[float, ...]
@@ -464,13 +474,16 @@ def equal_weight_max_rate(t: int, w: int) -> float:
 # further part more than doubles the kernel's cost.
 _MAX_RATE_PARTS = 8
 
+_RATE_TOLERANCE = 1e-9
+_RATE_MAX_ITERATIONS = 10_000
 
-def max_separation_rate(weights, tolerance: float = 1e-9, max_iterations: int = 10_000) -> SimplexMax:
+
+def max_separation_rate(weights) -> SimplexMax:
     """Maximize the separation polynomial over the probability simplex.
 
     Multi-start projected gradient ascent with backtracking: the barycenter,
     perturbed vertices, and seeded Dirichlet draws, 10*t starts in total.
-    Converges when the projected-gradient step shrinks below tolerance.
+    Converges when the projected-gradient step shrinks below _RATE_TOLERANCE.
     The returned point is sorted ascending (the polynomial is invariant
     under permuting equal weights).  The objective is a t x t permanent,
     evaluated with its gradient by subset dynamic programs in O(2**t * t),
@@ -503,7 +516,7 @@ def max_separation_rate(weights, tolerance: float = 1e-9, max_iterations: int = 
         anchor = fp
         since_progress = 0
         last_move: list[float] | None = None
-        for _ in range(max_iterations):
+        for _ in range(_RATE_MAX_ITERATIONS):
             total_iters += 1
             # p only changes on an accepted step, so a rejected candidate
             # leaves the gradient valid for the next iteration.
@@ -517,7 +530,7 @@ def max_separation_rate(weights, tolerance: float = 1e-9, max_iterations: int = 
             direction = [g / gmax for g in grad]
             moved = _project_simplex([x + d for x, d in zip(p, direction)])
             gap = max(map(abs, map(sub, moved, p)))
-            if gap < tolerance:
+            if gap < _RATE_TOLERANCE:
                 break
             # Oscillation damping: a gradient opposing the last move means
             # the step overshot the ridge, so shrink before moving again.
@@ -621,6 +634,8 @@ def applicable_upper_bounds(n_rows: int, q: int, weights) -> list[BoundResult]:
     w = normalize_weights(weights)
     if w.t < 2:
         raise ValueError("need at least two parts")
+    if q < 1:
+        raise ValueError("need q >= 1")
     results = []
     if n_rows <= w.u - 1:
         ext = () if n_rows == w.u - 1 else (FLAG_MONOTONE_EXT,)

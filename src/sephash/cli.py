@@ -12,12 +12,7 @@ import argparse
 import json
 import sys
 
-from .bounds import (
-    FLAG_LOWER,
-    applicable_upper_bounds,
-    prob_lower_bound,
-    vacuous_lower_bound,
-)
+from .bounds import applicable_upper_bounds, prob_lower_bound, vacuous_lower_bound
 from .coverfree import frameproof_threshold_bounds, is_cff, shf_to_cff_double, cff_derived
 from .hypergraph import (
     cycle_to_violation,

@@ -15,8 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .hypergraph import _vertex_masks
 from .matrix import Matrix, _certify
-from .verification import PreconditionError, find_violation
+from .verification import PreconditionError, _first_cover, find_violation
 
 # Quadratic growth coefficient for the cover-free threshold lower bound,
 # evaluated in double precision; comparisons against it use a 1e-9 guard.
@@ -27,17 +28,6 @@ _GUARD = 1e-9
 def _require_binary(m: Matrix) -> None:
     if m.q != 2:
         raise PreconditionError("cover-free operations need a binary matrix")
-
-
-def _column_masks(m: Matrix) -> list[int]:
-    masks = []
-    for j in range(m.cols):
-        mask = 0
-        for i in range(m.rows):
-            if m.entries[i][j]:
-                mask |= 1 << i
-        masks.append(mask)
-    return masks
 
 
 def is_cff(m: Matrix, w: int) -> tuple[int, tuple[int, ...]] | None:
@@ -53,29 +43,16 @@ def is_cff(m: Matrix, w: int) -> tuple[int, tuple[int, ...]] | None:
         raise ValueError("w must be positive")
     if m.cols <= w:
         return None
-    masks = _column_masks(m)
-
-    def first_cover(target, others, start, union, left):
-        # Combinations of others[start:] in lexicographic order, with the
-        # union of the members already chosen carried down.
-        if left == 1:
-            need = target & ~union
-            for j in others[start:]:
-                if masks[j] & need == need:
-                    return (j,)
-            return None
-        for i in range(start, len(others) - left + 1):
-            j = others[i]
-            rest = first_cover(target, others, i + 1, union | masks[j], left - 1)
-            if rest is not None:
-                return (j,) + rest
-        return None
-
+    # The 1-entry of row r is bit 2r + 1 of a column's vertex mask.
+    masks = _vertex_masks(m.columns(), 2)
+    ones = sum(2 << (2 * r) for r in range(m.rows))
+    used = [False] * m.cols
     for a0 in range(m.cols):
-        others = [j for j in range(m.cols) if j != a0]
-        cover = first_cover(masks[a0], others, 0, 0, w)
+        used[a0] = True
+        cover = _first_cover(masks, masks[a0] & ones, w, 0, used)
         if cover is not None:
             return (a0, cover)
+        used[a0] = False
     return None
 
 

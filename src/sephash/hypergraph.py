@@ -122,6 +122,15 @@ def _vertex_masks(edges, q: int) -> list[int]:
     return [sum(1 << (i * q + s) for i, s in enumerate(e)) for e in edges]
 
 
+def _incidence(masks, size: int) -> list[int]:
+    """incidence[v]: bit j set iff masks[j] holds bit v, for v < size."""
+    incidence = [0] * size
+    for j, mask in enumerate(masks):
+        for v in _bits(mask):
+            incidence[v] |= 1 << j
+    return incidence
+
+
 def _bits(mask: int):
     """Indices of the set bits of mask, ascending."""
     while mask:
@@ -147,10 +156,7 @@ def find_rainbow_cycle(h: PartiteHypergraph, k: int) -> RainbowCycle | None:
         return None
     q = h.part_size
     masks = _vertex_masks(h.edges, q)
-    incidence = [0] * (h.parts * q)
-    for j, mask in enumerate(masks):
-        for v in _bits(mask):
-            incidence[v] |= 1 << j
+    incidence = _incidence(masks, h.parts * q)
     # reach[j]: the edges meeting edge j, itself included.
     reach = [reduce(or_, map(incidence.__getitem__, _bits(mask)), 0) for mask in masks]
 

@@ -14,10 +14,11 @@ branch-and-bound kernel keeps the candidate list free of any column that
 would complete an unseparated tuple.  When a column joins, one pass over
 the "holed" tuples through it (sizes W with one part one short) builds a
 forbidden-column bitmask: rows where two parts of a holed tuple share a
-symbol (read off per-column one-hot symbol masks) are bad, and the columns
-that show, in every other row, a symbol of some member outside the short
-part are exactly those that complete it into a violation.  The surviving
-candidates are those whose bit is clear.
+symbol (read off the columns' vertex masks, hypergraph._vertex_masks) are
+bad, and the columns that show, in every other row, a symbol of some
+member outside the short part (read off the incidence index,
+hypergraph._incidence) are exactly those that complete it into a
+violation.  The surviving candidates are those whose bit is clear.
 
 rainbow_free_extremal_search adds candidate edges in lexicographic order.
 Each edge carries a vertex bitmask and a covered-pair bitmask (one bit per
@@ -39,6 +40,7 @@ from itertools import combinations, product
 from .bounds import all_distinct_probability
 from .hypergraph import (
     PartiteHypergraph,
+    _incidence,
     _vertex_masks,
     find_rainbow_cycle,
     is_linear_hypergraph,
@@ -190,15 +192,10 @@ class _CapacitySearch:
         self.node_budget = node_budget
         self.nodes = 0
         self.columns = [tuple(col) for col in product(range(q), repeat=n_rows)]
-        self.full_mask = (1 << n_rows) - 1
-        # sym_cols[r][s]: mask of the columns that show symbol s in row r.
-        # onehot[j]: column j's symbols, bit r*q + s set iff row r shows s.
-        self.sym_cols = [[0] * q for _ in range(n_rows)]
-        self.onehot = [0] * len(self.columns)
-        for j, col in enumerate(self.columns):
-            for r in range(n_rows):
-                self.sym_cols[r][col[r]] |= 1 << j
-                self.onehot[j] |= 1 << (r * q + col[r])
+        # masks[j]: bit r*q + s set iff column j shows symbol s in row r.
+        # incidence[r*q + s]: the columns that show symbol s in row r.
+        self.masks = _vertex_masks(self.columns, q)
+        self.incidence = _incidence(self.masks, n_rows * q)
         self._layouts = self._holed_layouts()
         self.best: list[int] = []
         self.exhausted = True
@@ -241,8 +238,8 @@ class _CapacitySearch:
         if len(chosen) < self.u - 1 or not cand:
             return cand
         col = chosen[-1]
-        q, full, n_rows = self.q, self.full_mask, self.n_rows
-        columns, sym_cols, onehot = self.columns, self.sym_cols, self.onehot
+        q, n_rows = self.q, self.n_rows
+        columns, masks, incidence = self.columns, self.masks, self.incidence
         sym_mask = (1 << q) - 1
         allowed = 0
         for d in cand:
@@ -255,8 +252,9 @@ class _CapacitySearch:
                 for r in range(n_rows):
                     if not bad >> r & 1:
                         row_syms = 0
+                        base = r * q
                         for y in outside:
-                            row_syms |= sym_cols[r][columns[y][r]]
+                            row_syms |= incidence[base + columns[y][r]]
                         forbidden &= row_syms
                         if not forbidden:
                             return
@@ -269,18 +267,13 @@ class _CapacitySearch:
                 part = (col,) + combo if has_col else combo
                 syms = 0
                 for x in part:
-                    syms |= onehot[x]
+                    syms |= masks[x]
                 b = bad
                 shared = syms & seen
                 if shared:
                     for r in range(n_rows):
                         if shared >> (r * q) & sym_mask:
                             b |= 1 << r
-                    if b == full:
-                        # chosen has u - 1 members, so a completion exists,
-                        # and it is unseparated whatever candidate joins.
-                        allowed = 0
-                        return
                 rest = [x for x in avail if x not in combo]
                 out = outside + part if k else ()  # slot 0 is the hole
                 rec(slots, k + 1, combo, b, seen | syms, out, rest)
@@ -294,11 +287,8 @@ class _CapacitySearch:
         return [d for d in cand if allowed >> d & 1]
 
     def run(self):
-        n_cols = len(self.columns)
-        if n_cols == 0:
-            return
         chosen = [0]  # canonical: the all-zero column is index 0
-        cand = self._survivors(chosen, list(range(1, n_cols)))
+        cand = self._survivors(chosen, list(range(1, len(self.columns))))
         self.best = [0]
         self._dfs(chosen, cand)
 
@@ -339,6 +329,8 @@ def exact_capacity(
         raise ValueError("need at least two parts")
     if n_rows < 1:
         raise ValueError("need N >= 1")
+    if q < 1:
+        raise ValueError("need q >= 1")
     if q**n_rows > 10_000:
         raise ValueError("search space too large: need q**N <= 10000")
     start = time.perf_counter()
@@ -588,11 +580,8 @@ def rainbow_free_extremal_search(
     searcher.run()
     h = PartiteHypergraph(parts, part_size, tuple(searcher.best))
     _certify(is_linear_hypergraph(h), "hypergraph is linear")
-    if len(h.edges) >= 3:
-        for k in ks:
-            _certify(
-                find_rainbow_cycle(h, k) is None, f"hypergraph has no rainbow {k}-cycle"
-            )
+    for k in ks:
+        _certify(find_rainbow_cycle(h, k) is None, f"hypergraph has no rainbow {k}-cycle")
     return RainbowFreeResult(
         edge_count=len(h.edges),
         hypergraph=h,

@@ -76,6 +76,26 @@ def row_separates(m: Matrix, row: int, parts) -> bool:
     )
 
 
+def _first_cover(masks, need: int, size: int, start: int, used) -> tuple[int, ...] | None:
+    """First ascending size-combination of unused columns >= start covering need.
+
+    A combination covers need when the OR of its members' masks holds every
+    bit of need; combinations are tried in lexicographic order.
+    """
+    n = len(masks)
+    if size == 1:
+        for z in range(start, n):
+            if masks[z] & need == need and not used[z]:
+                return (z,)
+        return None
+    for z in range(start, n - size + 1):
+        if not used[z]:
+            rest = _first_cover(masks, need & ~masks[z], size - 1, z + 1, used)
+            if rest is not None:
+                return (z,) + rest
+    return None
+
+
 def find_violation(m: Matrix, weights) -> ViolationWitness | None:
     """Exact separation oracle.
 
@@ -87,7 +107,8 @@ def find_violation(m: Matrix, weights) -> ViolationWitness | None:
 
     One depth-first pass carries bad, the rows already unseparated, and
     reach[z], the OR of completed parts' agreement rows with z; the last
-    member is the first free z whose reach covers the rows not yet bad.
+    part is the first free combination whose reach covers the rows not yet
+    bad (_first_cover).
     Agreement rows are built lazily from per-row symbol classes.
     """
     sizes = normalize_weights(weights).weights
@@ -111,17 +132,15 @@ def find_violation(m: Matrix, weights) -> ViolationWitness | None:
 
     used = [False] * n
     parts: list[list[int]] = [[] for _ in sizes]
+    last = len(sizes) - 1
 
     def place(k: int, start: int, bad: int, reach: list[int]) -> bool:
         part = parts[k]
+        if k == last:
+            cover = _first_cover(reach, full & ~bad, sizes[k], start, used)
+            part.extend(cover or ())
+            return cover is not None
         left = sizes[k] - len(part) - 1
-        if left == 0 and k == len(sizes) - 1:
-            need = full & ~bad
-            for z in range(start, n):
-                if reach[z] & need == need and not used[z]:
-                    part.append(z)
-                    return True
-            return False
         for z in range(start, n - left):
             if used[z]:
                 continue

@@ -178,6 +178,12 @@ class TestJohnson:
                     want = reference_johnson_value(n_rows, q, w)
                     assert got == want and type(got) is type(want), (n_rows, q, w)
 
+    def test_unbounded_tails_past_double_range(self):
+        # Lowering a weight of (1, 2) leaves one part, an unbounded tail,
+        # while q**l passes the double range from l = 647 on.  The value
+        # splits 700 = 234 + 233 + 233 rows into three groups.
+        assert johnson_recursive_bound(700, 3, [2, 2]).value == 3**234 + 2 * 3**233
+
 
 class TestGroupingComposition:
     def test_examples(self):
@@ -206,6 +212,10 @@ class TestProbLower:
     def test_degenerate_small_alphabet(self):
         # q < u: distinct-symbol probability is zero, bound collapses to 2**-u.
         assert prob_lower_bound(4, 3, [2, 2]).value == pytest.approx(2.0**-4)
+
+    def test_past_double_range_is_a_value_error(self):
+        with pytest.raises(ValueError, match="double range"):
+            prob_lower_bound(5000, 4, [1, 2])
 
     def test_secure_frameproof_point(self):
         got = prob_lower_bound(4, 9, [2, 2]).value
@@ -344,7 +354,7 @@ class TestSimplexPinned:
 
     def test_not_converged_when_a_start_hits_the_cap(self):
         # The maximum of p**3 q + p q**3 at p = 1/2 is quartic-flat, and 19
-        # of the 20 starts run into max_iterations.
+        # of the 20 starts run into _RATE_MAX_ITERATIONS.
         r = max_separation_rate([2, 4])
         assert r.converged is False
         assert r.value == pytest.approx(0.125, abs=1e-12)
@@ -474,6 +484,16 @@ class TestBestUpper:
         # Equal weights use the closed form, which holds for every t.
         provs = {b.provenance for b in applicable_upper_bounds(20, 9, [2] * 9)}
         assert PROV_SMALL_ALPHABET in provs
+
+    def test_lower_past_double_range_is_a_value_error(self):
+        # The winner is still checked against the probabilistic lower bound.
+        with pytest.raises(ValueError, match="double range"):
+            best_upper_bound(5000, 4, [1, 2])
+
+    @pytest.mark.parametrize("q", [0, -1])
+    def test_rejects_alphabet_below_one(self, q):
+        with pytest.raises(ValueError, match="q >= 1"):
+            applicable_upper_bounds(4, q, [2, 2])
 
     def test_applicability_gates(self):
         provs = {b.provenance for b in applicable_upper_bounds(4, 3, [2, 2])}

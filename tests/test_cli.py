@@ -120,6 +120,21 @@ class TestBounds:
         assert {"johnson-recursion", "balanced-grouping", "uniform-grouping"} <= provs
         assert "small-alphabet" not in provs
 
+    def test_johnson_past_double_range_exits_0(self):
+        code, out = run(["bounds", "700", "3", "2,2"])
+        assert code == 0
+        johnson = [b for b in out if b["provenance"] == "johnson-recursion"]
+        assert johnson[0]["value"] == 3**234 + 2 * 3**233
+
+    def test_lower_past_double_range_exits_2(self):
+        code, _ = run(["bounds", "5000", "4", "1,2", "--lower"])
+        assert code == 2
+
+    @pytest.mark.parametrize("argv", [["4", "0", "2,2"], ["4", "-1", "1,2"]])
+    def test_alphabet_below_one_exits_2(self, argv):
+        code, _ = run(["bounds", *argv])
+        assert code == 2
+
 
 class TestHypergraph:
     def test_cycle_found(self, corpus):
@@ -168,6 +183,12 @@ class TestSearch:
         assert out["value"] == 4 and out["exact"] is True
         witness = parse_matrix(open(out_path).read())
         assert find_violation(witness, [1, 1]) is None
+
+    @pytest.mark.parametrize("q", ["0", "-1"])
+    def test_alphabet_below_one_exits_2(self, q, capsys):
+        code, _ = run(["search", "2", q, "1,1"])
+        assert code == 2
+        assert "q >= 1" in capsys.readouterr().err
 
 
 class TestConstruct:

@@ -238,6 +238,11 @@ class TestExactCapacity:
         with pytest.raises(ValueError, match="too large"):
             exact_capacity(10, 10, [1, 1])
 
+    @pytest.mark.parametrize("q", [0, -1])
+    def test_rejects_alphabet_below_one(self, q):
+        with pytest.raises(ValueError, match="q >= 1"):
+            exact_capacity(2, q, [1, 1])
+
     def test_json_shape(self):
         d = exact_capacity(1, 2, [1, 1]).as_json_dict()
         assert set(d) == {
