@@ -16,12 +16,14 @@ The row separation polynomial is the permanent of the t x t matrix
 A[i][j] = p_j**(w_i - 1).  Its value and gradient come from dynamic
 programs over column subsets in O(2**t * t) steps, not from the t! terms
 of its expansion, and every term they add is nonnegative.  The
-Johnson-type recursion is a memoized dynamic program that stops scanning
-step lengths once no longer step can win.
+Johnson-type recursion depends on the type only through its total weight
+u, so its memoized dynamic program is keyed by (N, q, u), shared by every
+type, and stops scanning step lengths once no longer step can win.
 
 Integer arithmetic is arbitrary precision; real-valued results are double
-precision and flagged "real-valued".  All functions are pure; the recursion
-memo is idempotent, so concurrent calls are safe.
+precision and flagged "real-valued", and a real-valued upper bound past the
+double range is INF.  All functions are pure; the recursion memo is
+idempotent, so concurrent calls are safe.
 """
 
 from __future__ import annotations
@@ -193,30 +195,32 @@ def _decrement_weight(weights: tuple[int, ...], i: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _johnson_value(n_rows: int, q: int, weights: tuple[int, ...]):
-    """Dynamic program behind the Johnson-type recursion.
+def _johnson_value(n_rows: int, q: int, u: int):
+    """Dynamic program behind the Johnson-type recursion, for t >= 2 parts.
 
-    Base cases (each forced by the definition of separation):
-      * t = 1: no second part to separate from, so n is unbounded;
-      * W = {1,1}: distinct columns are necessary and sufficient, n = q**N;
+    The value depends on the type only through its total weight u, by
+    induction on u.  Base cases (each forced by the definition of
+    separation):
+      * u = 2, which is exactly W = {1,1}: distinct columns are necessary
+        and sufficient, n = q**N;
       * N <= 0: nothing is ever separated, n = u - 1;
       * N = 1: all u tuple symbols must differ on the single row, so
         n = q when q >= u, else the vacuous u - 1;
       * N <= u - 1: the linear bound (u-1)q, extended below u-1 by row
         monotonicity.
-
     Otherwise the value is the least step q**l + max(u-1, tail) over every
-    weight to lower and every length l.  For one weight the lengths ascend,
-    q**l never decreases, and each step is at least q**l + u - 1; so once
-    q**l + u - 1 reaches the best step so far, no longer length can beat
-    it and the scan stops.  The bound is exact, so the result is the same
-    as scanning every length.
+    weight to lower and every length l.  Lowering a weight either leaves a
+    single part, whose tail is unbounded and never wins, or a type of
+    weight u-1 with at least two parts, whose tail is this function at u-1.
+    Every type with t >= 2 and u >= 3 has a weight of the second kind, so
+    all such types share one value.
+
+    The lengths ascend, q**l never decreases, and each step is at least
+    q**l + u - 1; so once q**l + u - 1 reaches the best step so far, no
+    longer length can beat it and the scan stops.  The bound is exact, so
+    the result is the same as scanning every length.
     """
-    t = len(weights)
-    u = sum(weights)
-    if t == 1:
-        return INF
-    if weights == (1, 1):
+    if u == 2:
         return q**n_rows
     if n_rows <= 0:
         return u - 1
@@ -225,22 +229,14 @@ def _johnson_value(n_rows: int, q: int, weights: tuple[int, ...]):
     if n_rows <= u - 1:
         return (u - 1) * q
     best = INF
-    for i in sorted(set(weights)):
-        pos = weights.index(i) + 1
-        reduced = _decrement_weight(weights, pos)
-        power = 1
-        for length in range(1, n_rows + 1):
-            power *= q
-            if power + u - 1 >= best:
-                break
-            tail = _johnson_value(n_rows - length, q, reduced)
-            if tail == INF:
-                # An unbounded step never wins, and power may be past the
-                # double range, where power + INF would overflow.
-                continue
-            step = power + max(u - 1, tail)
-            if step < best:
-                best = step
+    power = 1
+    for length in range(1, n_rows + 1):
+        power *= q
+        if power + u - 1 >= best:
+            break
+        step = power + max(u - 1, _johnson_value(n_rows - length, q, u - 1))
+        if step < best:
+            best = step
     return best
 
 
@@ -256,8 +252,10 @@ def johnson_step(n_rows: int, q: int, weights, length: int, i: int) -> BoundResu
     if not 1 <= length <= n_rows:
         raise ValueError(f"step length must lie in [1, {n_rows}]")
     reduced = _decrement_weight(w.weights, i)
-    tail = _johnson_value(n_rows - length, q, reduced)
-    value = INF if tail == INF else q**length + max(w.u - 1, tail)
+    if len(reduced) < 2:
+        value = INF
+    else:
+        value = q**length + max(w.u - 1, _johnson_value(n_rows - length, q, w.u - 1))
     return _upper(
         value,
         PROV_JOHNSON,
@@ -281,7 +279,7 @@ def johnson_recursive_bound(n_rows: int, q: int, weights) -> BoundResult:
     if n_rows < 1:
         raise ValueError("need N >= 1")
     flags = (FLAG_MONOTONE_EXT,) if n_rows < w.u - 1 else ()
-    value = _johnson_value(n_rows, q, w.weights)
+    value = _johnson_value(n_rows, q, w.u)
     return _upper(value, PROV_JOHNSON, w, {"q": q, "weights": w.weights, "N": n_rows}, flags)
 
 
@@ -309,6 +307,18 @@ def prob_lower_bound(n_rows: int, q: int, weights) -> BoundResult:
     )
 
 
+def _power_or_inf(base: float, exponent: float) -> float:
+    """base**exponent in doubles, INF past the double range.
+
+    Only for upper bounds: INF is still a true upper bound, whereas a
+    lower bound must not saturate (prob_lower_bound raises instead).
+    """
+    try:
+        return base**exponent
+    except OverflowError:
+        return INF
+
+
 def perfect_hash_upper_bound(n_rows: float, q: int, t: int) -> BoundResult:
     """Minimum over j of (t-j-1) * ((q-j)/(t-j-1)) ** (g(q, j+1) * N).
 
@@ -327,7 +337,7 @@ def perfect_hash_upper_bound(n_rows: float, q: int, t: int) -> BoundResult:
     best_j = 0
     for j in range(t - 1):
         g = float(all_distinct_probability(q, j + 1))
-        value = (t - j - 1) * ((q - j) / (t - j - 1)) ** (g * n_rows)
+        value = (t - j - 1) * _power_or_inf((q - j) / (t - j - 1), g * n_rows)
         if value < best:
             best = value
             best_j = j
@@ -356,52 +366,51 @@ def _subset_steps(t: int) -> tuple:
     return tuple(steps)
 
 
-def _rate_forward(exps, point) -> tuple[float, list[float], list[list[float]]]:
-    """Permanent of A[i][j] = point[j]**exps[i] by a subset dynamic program.
-
-    f[S] is the permanent of the first |S| rows restricted to the columns
-    in S: f[{}] = 1 and f[S] = sum over j in S of f[S - j] * A[|S|-1][j].
-    The permanent is f[all columns], at O(2**t * t) cost.  Every term is
-    nonnegative on the simplex, so nothing cancels.  Ryser's inclusion-
-    exclusion formula costs the same but does cancel: at random simplex
-    points with t <= 6 it was off by up to 2e-4 relative to the exact
-    rational value, where this recursion stays within 5e-16.  Returns the
-    value together with f and A, which the gradient reuses.
-    """
-    rows = [[x**e for x in point] for e in exps]
-    f = [1.0] * (1 << len(exps))
-    for s, k, drops in _subset_steps(len(exps)):
+def _subset_permanents(rows) -> list[float]:
+    """f[S] = the permanent of the first |S| rows on the columns in S."""
+    f = [1.0] * (1 << len(rows))
+    for s, k, drops in _subset_steps(len(rows)):
         row = rows[k]
         acc = 0.0
         for j, rest in drops:
             acc += f[rest] * row[j]
         f[s] = acc
+    return f
+
+
+def _rate_forward(exps, point) -> tuple[float, list[float], list[list[float]]]:
+    """Permanent of A[i][j] = point[j]**exps[i] by a subset dynamic program.
+
+    The permanent is f[all columns], with f from _subset_permanents, at
+    O(2**t * t) cost.  Every term is nonnegative on the simplex, so nothing
+    cancels.  Ryser's inclusion-exclusion formula costs the same but does
+    cancel: at random simplex points with t <= 6 it was off by up to 2e-4
+    relative to the exact rational value, where this recursion stays within
+    5e-16.  Returns the value together with f and A, which the gradient
+    reuses.
+    """
+    rows = [[x**e for x in point] for e in exps]
+    f = _subset_permanents(rows)
     return f[-1], f, rows
 
 
 def _rate_grad(exps, point, f, rows) -> list[float]:
     """Gradient of the permanent, from _rate_forward's f and A at `point`.
 
-    g[T] is the permanent of the last |T| rows on the columns in T, built by
-    the mirror-image recursion.  Row i placed on column j splits every
-    permutation into the first i rows on some S without j and the last
-    t-1-i rows on the rest, so with T = S + j:
+    A permanent does not depend on row order, so g = _subset_permanents of
+    the reversed rows gives g[T], the permanent of the last |T| rows on the
+    columns in T.  Row i placed on column j splits every permutation into
+    the first i rows on some S without j and the last t-1-i rows on the
+    rest, so with T = S + j:
     d/dp_j = sum over T containing j of f[T - j] * dA[|T|-1][j] * g[~T],
     where dA[i][j] = exps[i] * point[j]**(exps[i]-1) (zero when exps[i] = 0).
     Also O(2**t * t).
     """
     t = len(exps)
-    steps = _subset_steps(t)
-    g = [1.0] * (1 << t)
-    for s, k, drops in steps:
-        row = rows[t - 1 - k]
-        acc = 0.0
-        for j, rest in drops:
-            acc += g[rest] * row[j]
-        g[s] = acc
+    g = _subset_permanents(rows[::-1])
     full = (1 << t) - 1
     grad = [0.0] * t
-    for s, k, drops in steps:
+    for s, k, drops in _subset_steps(t):
         e = exps[k]
         if e:
             scale = e * g[full ^ s]
@@ -598,8 +607,8 @@ def small_alphabet_bound(n_rows: int, t: int, weights) -> BoundResult:
         wv = w.weights[0]
         tf = math.factorial(t)
         alt = min(
-            2.0 ** (tf * tf * n_rows / t ** (t * wv - 1)),
-            (t - 1) * (t / (t - 1)) ** (tf * n_rows / t ** (t * wv - t)),
+            _power_or_inf(2.0, tf * tf * n_rows / t ** (t * wv - 1)),
+            (t - 1) * _power_or_inf(t / (t - 1), tf * n_rows / t ** (t * wv - t)),
         ) + (u - t)
         if alt < value:
             value = alt

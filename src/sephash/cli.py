@@ -47,7 +47,15 @@ EXIT_USAGE = 2
 
 
 def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    # Exact bounds such as q**N can pass Python's int-to-str digit limit.
+    # Lift it only while serializing; parsing argv and files keeps it.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    print(text)
 
 
 def _read_matrix(path: str) -> Matrix:

@@ -145,6 +145,8 @@ class TestJohnson:
 
     def test_step_vacuous_reduction(self):
         assert johnson_step(3, 3, [1, 2], 1, 1).value == INF
+        # Lowering the only weight of {1} leaves no part: still unbounded.
+        assert johnson_step(3, 3, [1], 3, 1).value == INF
 
     def test_step_validates_range(self):
         with pytest.raises(ValueError):
@@ -167,16 +169,23 @@ class TestJohnson:
 
     def test_early_exit_matches_full_scan(self):
         # Exact equality, int against int and INF against INF, with the
-        # dynamic program that scans every step length.
+        # dynamic program that scans every step length.  The library's
+        # program is keyed by the total weight alone.
         types = [
             w for t in range(1, 5) for w in combinations_with_replacement(range(1, 5), t)
         ]
-        for q in range(2, 11):
-            for w in types:
-                for n_rows in range(61):
-                    got = _johnson_value(n_rows, q, w)
-                    want = reference_johnson_value(n_rows, q, w)
-                    assert got == want and type(got) is type(want), (n_rows, q, w)
+        many_parts = [
+            w
+            for t in range(5, 9)
+            for w in combinations_with_replacement(range(1, 7), t)
+            if sum(w) <= 20
+        ]
+        points = [(n, q, w) for q in range(2, 11) for w in types for n in range(61)]
+        points += [(n, q, w) for q in (2, 3, 5) for w in many_parts for n in range(0, 26, 5)]
+        for n_rows, q, w in points:
+            got = INF if len(w) == 1 else _johnson_value(n_rows, q, sum(w))
+            want = reference_johnson_value(n_rows, q, w)
+            assert got == want and type(got) is type(want), (n_rows, q, w)
 
     def test_unbounded_tails_past_double_range(self):
         # Lowering a weight of (1, 2) leaves one part, an unbounded tail,
@@ -245,6 +254,12 @@ class TestPerfectHashBound:
     def test_rejects_small_alphabet(self):
         with pytest.raises(ValueError):
             perfect_hash_upper_bound(3, 2, 3)
+
+    def test_past_double_range_is_infinity(self):
+        # 2**5000 overflows a double; INF is still a true upper bound.
+        b = perfect_hash_upper_bound(5000, 2, 2)
+        assert b.value == INF
+        assert b.as_json_dict()["value"] == "infinity"
 
 
 class TestSeparationRate:
@@ -437,6 +452,10 @@ class TestSmallAlphabetBound:
         b = small_alphabet_bound(6, 2, [2, 3])
         assert b.params["rate_route"] == "optimizer"
         assert b.params["rate"] == pytest.approx(0.25, abs=1e-6)
+
+    def test_past_double_range_is_infinity(self):
+        # Both the reduction and the equal-weight closed forms overflow.
+        assert small_alphabet_bound(5000, 2, [2, 2]).value == INF
 
 
 class TestBestUpper:

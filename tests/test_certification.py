@@ -41,3 +41,45 @@ def test_library_has_no_unused_import():
                         found.append(f"{path.name}:{node.lineno} {name}")
     assert len(SOURCES) > 5
     assert found == []
+
+
+def _private_definitions(tree):
+    """(name, first line, last line) of each module-level _name definition."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno, node.end_lineno
+
+
+def test_library_has_no_unused_private_name():
+    # A private helper, class or constant that no line outside its own
+    # definition refers to is dead code, such as one a rewrite orphaned.
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    refs = []
+    for fname, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.append((fname, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.append((fname, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                refs.extend((fname, node.lineno, alias.name) for alias in node.names)
+    found = [
+        f"{fname}:{first} {name}"
+        for fname, tree in trees.items()
+        for name, first, last in _private_definitions(tree)
+        if not any(
+            ref == name and not (where == fname and first <= line <= last)
+            for where, line, ref in refs
+        )
+    ]
+    assert len(SOURCES) > 5
+    assert found == []

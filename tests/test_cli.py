@@ -126,6 +126,33 @@ class TestBounds:
         johnson = [b for b in out if b["provenance"] == "johnson-recursion"]
         assert johnson[0]["value"] == 3**234 + 2 * 3**233
 
+    def test_real_bound_past_double_range_exits_0(self):
+        # The small-alphabet bound needs 2.0**1050 here, past 1.8e308.
+        code, out = run(["bounds", "2100", "2", "2,2"])
+        assert code == 0
+        small = [b for b in out if b["provenance"] == "small-alphabet"]
+        assert small[0]["value"] == "infinity"
+
+    def test_exact_bound_past_int_str_limit_exits_0(self):
+        # 3**20000 has 9,543 digits, past the default int-to-str limit of
+        # 4,300; the CLI lifts it only while it serializes.
+        limit = sys.get_int_max_str_digits()
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = main(["bounds", "20000", "3", "1,1"])
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            out = json.loads(buf.getvalue())
+            johnson = [b for b in out if b["provenance"] == "johnson-recursion"]
+            assert johnson[0]["value"] == 3**20000
+        finally:
+            sys.set_int_max_str_digits(limit)
+        # Arguments are still parsed under the limit.
+        code, _ = run(["bounds", "1" * 5000, "3", "1,1"])
+        assert code == 2
+
     def test_lower_past_double_range_exits_2(self):
         code, _ = run(["bounds", "5000", "4", "1,2", "--lower"])
         assert code == 2
