@@ -15,14 +15,17 @@ W-separating.  This module evaluates every bound the library knows about:
 The row separation polynomial is the permanent of the t x t matrix
 A[i][j] = p_j**(w_i - 1).  Its value and gradient come from dynamic
 programs over column subsets in O(2**t * t) steps, not from the t! terms
-of its expansion, and every term they add is nonnegative.  The
-Johnson-type recursion depends on the type only through its total weight
-u, so its memoized dynamic program is keyed by (N, q, u), shared by every
-type, and stops scanning step lengths once no longer step can win.
+of its expansion, and every term they add is nonnegative; its simplex
+maximum is computed once per type per process.  The Johnson-type
+recursion depends on the type only through its total weight u, and it has
+a closed form: for q >= 2 and N >= u-1 it equals the balanced-grouping
+value r * q**ceil(N/(u-1)) + (u-1-r) * q**floor(N/(u-1)), because q**x is
+convex and the steps whose tail falls below u-2 rows never win (the proof
+is in _johnson_value); for q = 1 and N >= u it is u.
 
 Integer arithmetic is arbitrary precision; real-valued results are double
 precision and flagged "real-valued", and a real-valued upper bound past the
-double range is INF.  All functions are pure; the recursion memo is
+double range is INF.  All functions are pure; the maximizer memo is
 idempotent, so concurrent calls are safe.
 """
 
@@ -194,32 +197,54 @@ def _decrement_weight(weights: tuple[int, ...], i: int) -> tuple[int, ...]:
     return tuple(sorted(reduced))
 
 
-@lru_cache(maxsize=None)
 def _johnson_value(n_rows: int, q: int, u: int):
-    """Dynamic program behind the Johnson-type recursion, for t >= 2 parts.
+    """Closed form of the Johnson-type recursion, for t >= 2 parts.
 
-    The value depends on the type only through its total weight u, by
-    induction on u.  Base cases (each forced by the definition of
-    separation):
+    The recursion J(N, u) = min over l in 1..N of q**l + max(u-1, J(N-l, u-1))
+    depends on the type only through its total weight u: lowering a weight
+    either leaves a single part, whose tail is unbounded and never wins, or
+    a type of weight u-1 with at least two parts, and every type with
+    t >= 2 and u >= 3 has a weight of the second kind.  Base cases (each
+    forced by the definition of separation):
       * u = 2, which is exactly W = {1,1}: distinct columns are necessary
-        and sufficient, n = q**N;
-      * N <= 0: nothing is ever separated, n = u - 1;
+        and sufficient, J = q**N;
+      * N <= 0: nothing is ever separated, J = u - 1;
       * N = 1: all u tuple symbols must differ on the single row, so
-        n = q when q >= u, else the vacuous u - 1;
+        J = q when q >= u, else the vacuous u - 1;
       * N <= u - 1: the linear bound (u-1)q, extended below u-1 by row
         monotonicity.
-    Otherwise the value is the least step q**l + max(u-1, tail) over every
-    weight to lower and every length l.  Lowering a weight either leaves a
-    single part, whose tail is unbounded and never wins, or a type of
-    weight u-1 with at least two parts, whose tail is this function at u-1.
-    Every type with t >= 2 and u >= 3 has a weight of the second kind, so
-    all such types share one value.
-
-    The lengths ascend, q**l never decreases, and each step is at least
-    q**l + u - 1; so once q**l + u - 1 reaches the best step so far, no
-    longer length can beat it and the scan stops.  The bound is exact, so
-    the result is the same as scanning every length.
+    Past them (u >= 3, N >= u) the recursion has a closed form:
+      * q = 1: J = u.  Every tail is at most u - 1 (the bases give at
+        most u - 2, and by induction J(N', u-1) = u - 1 for N' >= u - 1
+        when u >= 4), so every step is 1 + (u-1).
+      * q >= 2: J = B(N, u) = r * q**(m+1) + (u-1-r) * q**m with
+        N = m(u-1) + r, 0 <= r < u-1: the balanced_grouping_bound value.
+    Proof of the second, by induction on u, of J(N, u) = B(N, u) for all
+    N >= u - 1 (u = 2 and N = u - 1 are bases with that value).  Write
+    B(N, k+1) for the least sum of q**n_i over splits of N into k positive
+    parts; q**x is convex, and moving one row from a part a to a part
+    b <= a - 2 changes the sum by (q-1)(q**b - q**(a-1)) <= 0, so a
+    balanced split attains the least sum, which is the value above.  Take
+    u >= 3, N >= u and a step l with tail N' = N - l.
+      * N' >= u - 2: by induction the tail is B(N', u-1) >= (u-2)q >=
+        2(u-2) >= u-1, so the step is q**l + B(N', u-1), the least sum over
+        splits of N into u-1 parts that have a part l.  The least such
+        step over l is B(N, u).
+      * N' < u - 2 (short tails; u = 3 admits only N' = 0).  Each such
+        step is at least the sum C = q**(N-u+2) + (u-2)q of the split
+        (N-u+2, 1, ..., 1), and C >= B(N, u):
+          - 2 <= N' <= u-3, the monotone (u-2)q base: the step is
+            q**l + (u-2)q with l >= N-u+3, so it exceeds C;
+          - N' = 1, the max(q, u-2) base (u >= 4): the step is
+            q**(N-1) + max(u-1, q), and q**(N-1) - q**(N-u+2) >=
+            q**2 (q**(u-3) - 1) >= (u-3)q >= (u-2)q - max(u-1, q);
+          - N' = 0, the N <= 0 base u-2 (for u = 3 the u = 2 base
+            q**0 = 1 = u-2): the step is q**N + u-1, and q**N -
+            q**(N-u+2) >= q**2 (q**(u-2) - 1) >= (u-2)q > (u-2)q - (u-1).
+    So the short tails never win and J(N, u) = B(N, u).
     """
+    if q < 1:
+        raise ValueError("need q >= 1")
     if u == 2:
         return q**n_rows
     if n_rows <= 0:
@@ -228,16 +253,10 @@ def _johnson_value(n_rows: int, q: int, u: int):
         return max(q, u - 1)
     if n_rows <= u - 1:
         return (u - 1) * q
-    best = INF
-    power = 1
-    for length in range(1, n_rows + 1):
-        power *= q
-        if power + u - 1 >= best:
-            break
-        step = power + max(u - 1, _johnson_value(n_rows - length, q, u - 1))
-        if step < best:
-            best = step
-    return best
+    if q == 1:
+        return u
+    m, r = divmod(n_rows, u - 1)
+    return r * q ** (m + 1) + (u - 1 - r) * q**m
 
 
 def johnson_step(n_rows: int, q: int, weights, length: int, i: int) -> BoundResult:
@@ -454,6 +473,11 @@ def _project_simplex(v) -> list[float]:
 class SimplexMax:
     """Maximizer of the separation polynomial over the probability simplex.
 
+    The polynomial is invariant under every permutation of the point (a
+    permanent does not change when its columns are permuted), so point is
+    reported sorted ascending.  starts is 9*t + 1: the barycenter, one
+    perturbed vertex standing for the t mirror-image ones, and 9*t - 1
+    seeded Dirichlet draws; iterations sums the ascent steps of all starts.
     converged is True only when every start stopped by one of the
     convergence tests (vanishing gradient, projected step below
     _RATE_TOLERANCE, no cumulative progress for 50 iterations, or step
@@ -487,28 +511,97 @@ _RATE_TOLERANCE = 1e-9
 _RATE_MAX_ITERATIONS = 10_000
 
 
+def _ascend(exps, start) -> tuple[list[float], float, int, bool]:
+    """Projected gradient ascent with backtracking from one start.
+
+    Returns the final point, its value, the iterations used, and whether a
+    convergence test stopped the ascent before _RATE_MAX_ITERATIONS.
+    """
+    p = list(start)
+    fp, f, rows = _rate_forward(exps, p)
+    grad = None
+    step = 1.0
+    anchor = fp
+    since_progress = 0
+    last_move: list[float] | None = None
+    for iterations in range(1, _RATE_MAX_ITERATIONS + 1):
+        # p only changes on an accepted step, so a rejected candidate
+        # leaves the gradient valid for the next iteration.
+        if grad is None:
+            grad = _rate_grad(exps, p, f, rows)
+        gmax = max(map(abs, grad))
+        if gmax == 0.0:
+            break
+        # Scale-free ascent: unit-sup-norm direction keeps the step
+        # geometry independent of the objective's magnitude.
+        direction = [g / gmax for g in grad]
+        moved = _project_simplex([x + d for x, d in zip(p, direction)])
+        gap = max(map(abs, map(sub, moved, p)))
+        if gap < _RATE_TOLERANCE:
+            break
+        # Oscillation damping: a gradient opposing the last move means
+        # the step overshot the ridge, so shrink before moving again.
+        if last_move is not None:
+            if sum(map(mul, grad, last_move)) < 0.0:
+                step *= 0.25
+        cand = _project_simplex([x + step * d for x, d in zip(p, direction)])
+        fc, fc_f, fc_rows = _rate_forward(exps, cand)
+        if fc > fp:
+            last_move = list(map(sub, cand, p))
+            p, fp, f, rows = cand, fc, fc_f, fc_rows
+            grad = None
+            step = min(step * 1.3, 1.0)
+        else:
+            step *= 0.5
+        # Stop once no cumulatively significant improvement shows up.
+        if fp - anchor > 1e-12 * max(abs(anchor), 1e-30):
+            anchor = fp
+            since_progress = 0
+        else:
+            since_progress += 1
+            if since_progress >= 50:
+                break
+        if step < 1e-11:
+            break
+    else:
+        return p, fp, iterations, False
+    return p, fp, iterations, True
+
+
 def max_separation_rate(weights) -> SimplexMax:
     """Maximize the separation polynomial over the probability simplex.
 
-    Multi-start projected gradient ascent with backtracking: the barycenter,
-    perturbed vertices, and seeded Dirichlet draws, 10*t starts in total.
-    Converges when the projected-gradient step shrinks below _RATE_TOLERANCE.
-    The returned point is sorted ascending (the polynomial is invariant
-    under permuting equal weights).  The objective is a t x t permanent,
-    evaluated with its gradient by subset dynamic programs in O(2**t * t),
-    and t is capped at _MAX_RATE_PARTS.
+    Multi-start projected gradient ascent with backtracking.  The
+    polynomial is perm(A) with A[i][j] = p_j**(w_i - 1); permuting the
+    coordinates of p permutes the columns of A, which leaves a permanent
+    unchanged, so the objective is invariant under every permutation of p,
+    whatever the weights.  The t perturbed vertices (0.9 on one coordinate,
+    0.1/(t-1) on the rest) are therefore one orbit whose ascents mirror one
+    another, and only the first is run.  The starts are the barycenter
+    (a one-point orbit), that vertex, and 9*t - 1 seeded Dirichlet draws:
+    9*t + 1 in all.  An ascent converges when the projected-gradient step
+    shrinks below _RATE_TOLERANCE.  The returned point is sorted ascending.
+    The objective and its gradient come from subset dynamic programs in
+    O(2**t * t), and t is capped at _MAX_RATE_PARTS.
+
+    The result depends only on the sorted weights and is computed once per
+    type per process; the SimplexMax returned is shared between callers.
     """
     w = normalize_weights(weights)
-    t = w.t
-    if not 2 <= t <= _MAX_RATE_PARTS:
+    if not 2 <= w.t <= _MAX_RATE_PARTS:
         raise ValueError(f"supported for 2 <= t <= {_MAX_RATE_PARTS} parts")
-    exps = tuple(wi - 1 for wi in w.weights)
+    return _maximize(w.weights)
+
+
+@lru_cache(maxsize=128)
+def _maximize(weights: tuple[int, ...]) -> SimplexMax:
+    """max_separation_rate for an ascending weight tuple, memoized."""
+    t = len(weights)
+    exps = tuple(wi - 1 for wi in weights)
 
     rng = random.Random(24862)
-    starts: list[list[float]] = [[1.0 / t] * t]
-    for v in range(t):
-        starts.append([0.9 if i == v else 0.1 / (t - 1) for i in range(t)])
-    while len(starts) < 10 * t:
+    starts: list[list[float]] = [[1.0 / t] * t, [0.9] + [0.1 / (t - 1)] * (t - 1)]
+    while len(starts) < 9 * t + 1:
         draw = [rng.gammavariate(1.0, 1.0) for _ in range(t)]
         total = sum(draw)
         starts.append([x / total for x in draw])
@@ -518,55 +611,9 @@ def max_separation_rate(weights) -> SimplexMax:
     total_iters = 0
     converged = True
     for start in starts:
-        p = list(start)
-        fp, f, rows = _rate_forward(exps, p)
-        grad = None
-        step = 1.0
-        anchor = fp
-        since_progress = 0
-        last_move: list[float] | None = None
-        for _ in range(_RATE_MAX_ITERATIONS):
-            total_iters += 1
-            # p only changes on an accepted step, so a rejected candidate
-            # leaves the gradient valid for the next iteration.
-            if grad is None:
-                grad = _rate_grad(exps, p, f, rows)
-            gmax = max(map(abs, grad))
-            if gmax == 0.0:
-                break
-            # Scale-free ascent: unit-sup-norm direction keeps the step
-            # geometry independent of the objective's magnitude.
-            direction = [g / gmax for g in grad]
-            moved = _project_simplex([x + d for x, d in zip(p, direction)])
-            gap = max(map(abs, map(sub, moved, p)))
-            if gap < _RATE_TOLERANCE:
-                break
-            # Oscillation damping: a gradient opposing the last move means
-            # the step overshot the ridge, so shrink before moving again.
-            if last_move is not None:
-                if sum(map(mul, grad, last_move)) < 0.0:
-                    step *= 0.25
-            cand = _project_simplex([x + step * d for x, d in zip(p, direction)])
-            fc, fc_f, fc_rows = _rate_forward(exps, cand)
-            if fc > fp:
-                last_move = list(map(sub, cand, p))
-                p, fp, f, rows = cand, fc, fc_f, fc_rows
-                grad = None
-                step = min(step * 1.3, 1.0)
-            else:
-                step *= 0.5
-            # Stop once no cumulatively significant improvement shows up.
-            if fp - anchor > 1e-12 * max(abs(anchor), 1e-30):
-                anchor = fp
-                since_progress = 0
-            else:
-                since_progress += 1
-                if since_progress >= 50:
-                    break
-            if step < 1e-11:
-                break
-        else:
-            converged = False
+        p, fp, iterations, stopped = _ascend(exps, start)
+        total_iters += iterations
+        converged = converged and stopped
         if fp > best_value:
             best_value = fp
             best_point = p

@@ -2,8 +2,7 @@
 
 import random
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +16,9 @@ from sephash.bounds import (
     INF,
     PROV_NIU_CAO,
     PROV_SMALL_ALPHABET,
+    _ascend,
     _johnson_value,
+    _maximize,
     _rate_forward,
     _rate_grad,
     all_distinct_probability,
@@ -164,6 +165,10 @@ class TestJohnson:
                         <= grouping_composition_bound(n_rows, q, w).value
                     )
 
+    def test_rejects_alphabet_below_one(self):
+        with pytest.raises(ValueError, match="q >= 1"):
+            johnson_recursive_bound(5, 0, [2, 2])
+
     def test_small_row_counts_flagged(self):
         assert FLAG_MONOTONE_EXT in johnson_recursive_bound(1, 3, [2, 2]).flags
 
@@ -182,6 +187,8 @@ class TestJohnson:
         ]
         points = [(n, q, w) for q in range(2, 11) for w in types for n in range(61)]
         points += [(n, q, w) for q in (2, 3, 5) for w in many_parts for n in range(0, 26, 5)]
+        points += [(n, 1, w) for w in types for n in range(61)]
+        points += [(n, 1, w) for w in many_parts for n in range(0, 26, 5)]
         for n_rows, q, w in points:
             got = INF if len(w) == 1 else _johnson_value(n_rows, q, sum(w))
             want = reference_johnson_value(n_rows, q, w)
@@ -192,6 +199,12 @@ class TestJohnson:
         # while q**l passes the double range from l = 647 on.  The value
         # splits 700 = 234 + 233 + 233 rows into three groups.
         assert johnson_recursive_bound(700, 3, [2, 2]).value == 3**234 + 2 * 3**233
+
+    def test_large_n_is_the_balanced_grouping_value(self):
+        assert (
+            johnson_recursive_bound(5000, 2, [2, 2]).value
+            == balanced_grouping_bound(5000, 2, [2, 2]).value
+        )
 
 
 class TestGroupingComposition:
@@ -323,6 +336,20 @@ def test_rate_kernel_matches_permutation_sum(case):
         assert _close(got_j, want_j), (grad, want)
 
 
+@settings(max_examples=100, deadline=None)
+@given(case=rate_cases())
+@example(case=((0, 3), (0.0, 1.0)))
+@example(case=((0, 2, 2, 4, 1, 3), (0.0, 0.1, 0.2, 0.0, 0.3, 0.4)))
+def test_rate_invariant_under_every_point_permutation(case):
+    # Permuting the point permutes the permanent's columns, whatever the
+    # weights; the maximizer's start set relies on this.
+    exps, point = case
+    weights = [e + 1 for e in exps]
+    want = separation_rate(weights, point)
+    for perm in permutations(point):
+        assert _close(separation_rate(weights, perm), want), (weights, perm)
+
+
 # Maxima recorded with the permutation-sum objective.  The objective is
 # flat at a maximum, so a change in rounding moves the point much more
 # than the value: points are pinned to 1e-6 and values to 1e-9 relative.
@@ -350,26 +377,35 @@ PINNED_MAXIMA = {
 }
 
 
-@lru_cache(maxsize=None)
-def _maximum(weights):
-    return max_separation_rate(weights)
-
-
 class TestSimplexPinned:
     @pytest.mark.parametrize("weights", sorted(PINNED_MAXIMA))
     def test_pinned_maximum(self, weights):
         value, point = PINNED_MAXIMA[weights]
-        r = _maximum(weights)
+        r = max_separation_rate(weights)
         assert r.value == pytest.approx(value, rel=1e-9, abs=0.0)
         assert r.point == pytest.approx(point, abs=1e-6)
 
     @pytest.mark.parametrize("weights", [(2, 2, 3, 5), (2, 3, 3, 4, 5), (2, 2, 2, 3, 3)])
     def test_converged_when_every_start_stops(self, weights):
-        assert _maximum(weights).converged is True
+        assert max_separation_rate(weights).converged is True
+
+    @pytest.mark.parametrize("weights", sorted(PINNED_MAXIMA))
+    def test_vertex_starts_are_one_orbit(self, weights):
+        # Permuting the point permutes the permanent's columns, so the ascents
+        # from the t perturbed vertices mirror one another and the maximizer
+        # runs only the first of them.
+        t = len(weights)
+        exps = tuple(w - 1 for w in weights)
+        values = [
+            _ascend(exps, [0.9 if i == v else 0.1 / (t - 1) for i in range(t)])[1]
+            for v in range(t)
+        ]
+        for value in values[1:]:
+            assert _close(value, values[0]), values
 
     def test_not_converged_when_a_start_hits_the_cap(self):
-        # The maximum of p**3 q + p q**3 at p = 1/2 is quartic-flat, and 19
-        # of the 20 starts run into _RATE_MAX_ITERATIONS.
+        # The maximum of p**3 q + p q**3 at p = 1/2 is quartic-flat, and 18
+        # of the 19 starts run into _RATE_MAX_ITERATIONS: 180,001 iterations.
         r = max_separation_rate([2, 4])
         assert r.converged is False
         assert r.value == pytest.approx(0.125, abs=1e-12)
@@ -424,6 +460,14 @@ class TestSimplexOptimizer:
     def test_rejects_large_types(self):
         with pytest.raises(ValueError):
             max_separation_rate([2] * 9)
+
+    def test_one_maximization_per_type(self):
+        _maximize.cache_clear()
+        for n_rows in range(1, 21):
+            applicable_upper_bounds(n_rows, 4, (2, 2, 3, 5))
+        assert max_separation_rate([5, 3, 2, 2]) is max_separation_rate((2, 2, 3, 5))
+        info = _maximize.cache_info()
+        assert info.misses == 1 and info.hits == 21
 
     def test_closed_form_values(self):
         assert equal_weight_max_rate(2, 2) == pytest.approx(0.5)
