@@ -15,8 +15,7 @@ W-separating.  This module evaluates every bound the library knows about:
 The row separation polynomial is the permanent of the t x t matrix
 A[i][j] = p_j**(w_i - 1).  Its value and gradient come from dynamic
 programs over column subsets in O(2**t * t) steps, not from the t! terms
-of its expansion, and every term they add is nonnegative; its simplex
-maximum is computed once per type per process.  The Johnson-type
+of its expansion, and every term they add is nonnegative.  The Johnson-type
 recursion depends on the type only through its total weight u, and it has
 a closed form: for q >= 2 and N >= u-1 it equals the balanced-grouping
 value r * q**ceil(N/(u-1)) + (u-1-r) * q**floor(N/(u-1)), because q**x is
@@ -25,7 +24,7 @@ is in _johnson_value); for q = 1 and N >= u it is u.
 
 Integer arithmetic is arbitrary precision; real-valued results are double
 precision and flagged "real-valued", and a real-valued upper bound past the
-double range is INF.  All functions are pure; the maximizer memo is
+double range is INF.  All functions are pure; the cached tables are
 idempotent, so concurrent calls are safe.
 """
 
@@ -146,6 +145,16 @@ def niu_cao_bound(q: int, w: int) -> BoundResult:
     return _upper(value, PROV_NIU_CAO, wt, {"q": q, "w": w, "N": 2 * w})
 
 
+def _balanced_value(n_rows: int, q: int, span: int):
+    """Least sum of q**n_i over splits of n_rows >= span rows into span parts.
+
+    With n_rows = m*span + r, 0 <= r < span, a balanced split attains it:
+    r * q**(m+1) + (span-r) * q**m.
+    """
+    m, r = divmod(n_rows, span)
+    return r * q ** (m + 1) + (span - r) * q**m
+
+
 def balanced_grouping_bound(n_rows: int, q: int, weights) -> BoundResult:
     """Split the rows into u-1 nearly equal groups and bound per group.
 
@@ -160,14 +169,9 @@ def balanced_grouping_bound(n_rows: int, q: int, weights) -> BoundResult:
     if n_rows < 1:
         raise ValueError("need N >= 1")
     span = w.u - 1
-    r = n_rows % span
-    if r == 0:
-        r = span
-    hi = -(-n_rows // span)
-    lo = n_rows // span
-    value = r * q**hi + (span - r) * q**lo
+    r = n_rows % span or span
     return _upper(
-        value,
+        _balanced_value(n_rows, q, span),
         PROV_BALANCED,
         w,
         {"q": q, "weights": w.weights, "N": n_rows, "r": r},
@@ -218,7 +222,8 @@ def _johnson_value(n_rows: int, q: int, u: int):
         most u - 2, and by induction J(N', u-1) = u - 1 for N' >= u - 1
         when u >= 4), so every step is 1 + (u-1).
       * q >= 2: J = B(N, u) = r * q**(m+1) + (u-1-r) * q**m with
-        N = m(u-1) + r, 0 <= r < u-1: the balanced_grouping_bound value.
+        N = m(u-1) + r, 0 <= r < u-1: _balanced_value(N, q, u-1), the
+        balanced_grouping_bound value.
     Proof of the second, by induction on u, of J(N, u) = B(N, u) for all
     N >= u - 1 (u = 2 and N = u - 1 are bases with that value).  Write
     B(N, k+1) for the least sum of q**n_i over splits of N into k positive
@@ -255,8 +260,7 @@ def _johnson_value(n_rows: int, q: int, u: int):
         return (u - 1) * q
     if q == 1:
         return u
-    m, r = divmod(n_rows, u - 1)
-    return r * q ** (m + 1) + (u - 1 - r) * q**m
+    return _balanced_value(n_rows, q, u - 1)
 
 
 def johnson_step(n_rows: int, q: int, weights, length: int, i: int) -> BoundResult:
@@ -268,6 +272,8 @@ def johnson_step(n_rows: int, q: int, weights, length: int, i: int) -> BoundResu
     makes the tail unbounded.
     """
     w = normalize_weights(weights)
+    if q < 1:
+        raise ValueError("need q >= 1")
     if not 1 <= length <= n_rows:
         raise ValueError(f"step length must lie in [1, {n_rows}]")
     reduced = _decrement_weight(w.weights, i)
@@ -583,21 +589,12 @@ def max_separation_rate(weights) -> SimplexMax:
     shrinks below _RATE_TOLERANCE.  The returned point is sorted ascending.
     The objective and its gradient come from subset dynamic programs in
     O(2**t * t), and t is capped at _MAX_RATE_PARTS.
-
-    The result depends only on the sorted weights and is computed once per
-    type per process; the SimplexMax returned is shared between callers.
     """
     w = normalize_weights(weights)
-    if not 2 <= w.t <= _MAX_RATE_PARTS:
+    t = w.t
+    if not 2 <= t <= _MAX_RATE_PARTS:
         raise ValueError(f"supported for 2 <= t <= {_MAX_RATE_PARTS} parts")
-    return _maximize(w.weights)
-
-
-@lru_cache(maxsize=128)
-def _maximize(weights: tuple[int, ...]) -> SimplexMax:
-    """max_separation_rate for an ascending weight tuple, memoized."""
-    t = len(weights)
-    exps = tuple(wi - 1 for wi in weights)
+    exps = tuple(wi - 1 for wi in w.weights)
 
     rng = random.Random(24862)
     starts: list[list[float]] = [[1.0 / t] * t, [0.9] + [0.1 / (t - 1)] * (t - 1)]

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 
 import pytest
@@ -18,7 +19,6 @@ from sephash.bounds import (
     PROV_SMALL_ALPHABET,
     _ascend,
     _johnson_value,
-    _maximize,
     _rate_forward,
     _rate_grad,
     all_distinct_probability,
@@ -168,6 +168,9 @@ class TestJohnson:
     def test_rejects_alphabet_below_one(self):
         with pytest.raises(ValueError, match="q >= 1"):
             johnson_recursive_bound(5, 0, [2, 2])
+        for weights in ([2, 2], [1, 1]):
+            with pytest.raises(ValueError, match="q >= 1"):
+                johnson_step(5, 0, weights, 1, 1)
 
     def test_small_row_counts_flagged(self):
         assert FLAG_MONOTONE_EXT in johnson_recursive_bound(1, 3, [2, 2]).flags
@@ -377,17 +380,22 @@ PINNED_MAXIMA = {
 }
 
 
+@lru_cache(maxsize=None)
+def _maximum(weights):
+    return max_separation_rate(weights)
+
+
 class TestSimplexPinned:
     @pytest.mark.parametrize("weights", sorted(PINNED_MAXIMA))
     def test_pinned_maximum(self, weights):
         value, point = PINNED_MAXIMA[weights]
-        r = max_separation_rate(weights)
+        r = _maximum(weights)
         assert r.value == pytest.approx(value, rel=1e-9, abs=0.0)
         assert r.point == pytest.approx(point, abs=1e-6)
 
     @pytest.mark.parametrize("weights", [(2, 2, 3, 5), (2, 3, 3, 4, 5), (2, 2, 2, 3, 3)])
     def test_converged_when_every_start_stops(self, weights):
-        assert max_separation_rate(weights).converged is True
+        assert _maximum(weights).converged is True
 
     @pytest.mark.parametrize("weights", sorted(PINNED_MAXIMA))
     def test_vertex_starts_are_one_orbit(self, weights):
@@ -460,14 +468,6 @@ class TestSimplexOptimizer:
     def test_rejects_large_types(self):
         with pytest.raises(ValueError):
             max_separation_rate([2] * 9)
-
-    def test_one_maximization_per_type(self):
-        _maximize.cache_clear()
-        for n_rows in range(1, 21):
-            applicable_upper_bounds(n_rows, 4, (2, 2, 3, 5))
-        assert max_separation_rate([5, 3, 2, 2]) is max_separation_rate((2, 2, 3, 5))
-        info = _maximize.cache_info()
-        assert info.misses == 1 and info.hits == 21
 
     def test_closed_form_values(self):
         assert equal_weight_max_rate(2, 2) == pytest.approx(0.5)
