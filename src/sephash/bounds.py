@@ -603,8 +603,7 @@ def max_separation_rate(weights) -> SimplexMax:
         total = sum(draw)
         starts.append([x / total for x in draw])
 
-    best_point = starts[0]
-    best_value = _rate_forward(exps, best_point)[0]
+    best_point, best_value = starts[0], -INF
     total_iters = 0
     converged = True
     for start in starts:
@@ -614,7 +613,7 @@ def max_separation_rate(weights) -> SimplexMax:
         if fp > best_value:
             best_value = fp
             best_point = p
-    point = tuple(sorted(max(x, 0.0) for x in best_point))
+    point = tuple(sorted(best_point))
     total = sum(point)
     point = tuple(x / total for x in point)
     return SimplexMax(point, best_value, len(starts), total_iters, converged)
@@ -625,9 +624,12 @@ def small_alphabet_bound(n_rows: int, t: int, weights) -> BoundResult:
 
     Scales the row count by the simplex maximum of the separation
     polynomial and falls through to the perfect-hash-family bound:
-    C(N, t, W) <= phf(p* N, t, t) + u - t.  For equal weights the closed
-    form of the scaled exponents is also evaluated and the smaller value is
-    reported; params note which route won.
+    C(N, t, W) <= phf(p* N, t, t) + u - t.  rate_route says whether p* came
+    from the equal-weight closed form or from the optimizer.  For equal
+    weights w, p* = t! * t**(-t(w-1)), and the two familiar closed forms are
+    terms of the minimum phf already takes: 2**(t!**2 N / t**(tw-1)) is its
+    j = t-2 term, since g(t, t-1) = t!/t**(t-1), and
+    (t-1) * (t/(t-1))**(t! N / t**(tw-t)) is its j = 0 term.
     """
     w = normalize_weights(weights)
     if w.t != t:
@@ -637,28 +639,15 @@ def small_alphabet_bound(n_rows: int, t: int, weights) -> BoundResult:
     if min(w.weights) < 2:
         raise ValueError("every weight must be at least 2")
     u = w.u
-    equal = len(set(w.weights)) == 1
-    if equal:
+    if len(set(w.weights)) == 1:
         rate = equal_weight_max_rate(t, w.weights[0])
         rate_route = "closed-form"
     else:
         rate = max_separation_rate(w).value
         rate_route = "optimizer"
     phf = perfect_hash_upper_bound(rate * n_rows, t, t)
-    value = phf.value + (u - t)
-    route = "reduction"
-    if equal:
-        wv = w.weights[0]
-        tf = math.factorial(t)
-        alt = min(
-            _power_or_inf(2.0, tf * tf * n_rows / t ** (t * wv - 1)),
-            (t - 1) * _power_or_inf(t / (t - 1), tf * n_rows / t ** (t * wv - t)),
-        ) + (u - t)
-        if alt < value:
-            value = alt
-            route = "equal-weight-closed-form"
     return _upper(
-        value,
+        phf.value + (u - t),
         PROV_SMALL_ALPHABET,
         w,
         {
@@ -667,7 +656,6 @@ def small_alphabet_bound(n_rows: int, t: int, weights) -> BoundResult:
             "N": n_rows,
             "rate": rate,
             "rate_route": rate_route,
-            "route": route,
             "phf_j": phf.params["j"],
         },
         flags=(FLAG_REAL, FLAG_ASYMPTOTIC),
@@ -712,13 +700,15 @@ def best_upper_bound(n_rows: int, q: int, weights) -> BoundResult:
 
     Results flagged below-vacuous-range (a formula evaluated outside its
     sensible parameter range) cannot be correct upper bounds and are
-    skipped.  The winner is checked against the probabilistic lower bound.
+    skipped.  A tie goes to a bound without the unchecked-hypothesis flag,
+    so a proven bound wins over an equal conditional one.  The winner is
+    checked against the probabilistic lower bound.
     """
     w = normalize_weights(weights)
     candidates = [
         b for b in applicable_upper_bounds(n_rows, q, w) if FLAG_BELOW_VACUOUS not in b.flags
     ]
-    winner = min(candidates, key=lambda b: b.value)
+    winner = min(candidates, key=lambda b: (b.value, FLAG_UNCHECKED in b.flags))
     lower = prob_lower_bound(n_rows, q, w)
     _certify(
         winner.value >= lower.value, "upper bound is at least the probabilistic lower bound"

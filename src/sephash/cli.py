@@ -24,7 +24,6 @@ from .hypergraph import (
 )
 from .matrix import (
     Matrix,
-    MatrixFormatError,
     SeparationType,
     group_rows,
     parse_matrix,
@@ -39,7 +38,7 @@ from .search import (
     random_shf_alteration,
     reed_solomon_frameproof,
 )
-from .verification import PreconditionError, find_violation, is_linear_shf
+from .verification import find_violation, is_linear_shf
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILS = 1
@@ -173,17 +172,6 @@ def _cmd_construct(args) -> int:
 
 def _cmd_convert(args) -> int:
     m = _read_matrix(args.matrix)
-    chosen = [
-        opt
-        for opt, val in (
-            ("--group-rows", args.group_rows),
-            ("--double", args.double),
-            ("--derive", args.derive),
-        )
-        if val is not None
-    ]
-    if len(chosen) != 1:
-        raise ValueError("convert needs exactly one of --group-rows/--double/--derive")
     if args.group_rows is not None:
         out = group_rows(m, args.group_rows)
     elif args.double is not None:
@@ -276,9 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="matrix transforms")
     p.add_argument("matrix")
-    p.add_argument("--group-rows", type=int, metavar="A")
-    p.add_argument("--double", type=int, metavar="W")
-    p.add_argument("--derive", type=int, metavar="COLUMN")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--group-rows", type=int, metavar="A")
+    g.add_argument("--double", type=int, metavar="W")
+    g.add_argument("--derive", type=int, metavar="COLUMN")
     p.add_argument("--w", type=int, help="cover-free order for --derive")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_convert)
@@ -294,7 +283,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (MatrixFormatError, PreconditionError, ValueError, OSError) as exc:
+    # ValueError covers MatrixFormatError and PreconditionError; OverflowError
+    # is a grouped alphabet past the symbol limit (convert --group-rows).
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

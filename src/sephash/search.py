@@ -295,11 +295,6 @@ class _CapacitySearch:
     def _dfs(self, chosen, cand):
         if len(chosen) > len(self.best):
             self.best = list(chosen)
-        if len(chosen) + len(cand) <= len(self.best):
-            return
-        if self.nodes >= self.node_budget:
-            self.exhausted = False
-            return
         for idx, col in enumerate(cand):
             if len(chosen) + (len(cand) - idx) <= len(self.best):
                 return
@@ -319,10 +314,12 @@ def exact_capacity(
     """Largest n for which an N x n W-separating matrix over q symbols exists.
 
     Exhaustive up to per-row symbol relabeling; requires q**N <= 10_000
-    candidate columns.  When the node budget trips, the best family found so
-    far is returned with exact=False; the reported nodes can then exceed
-    node_budget by up to the depth reached, as each level above the trip
-    counts one more candidate before it sees it.
+    candidate columns and node_budget >= 1.  When the node budget trips, the
+    best family found so far is returned with exact=False, but never fewer
+    than u-1 columns: any u-1 columns, duplicates included, are vacuously
+    separating.  The reported nodes can then exceed node_budget by up to the
+    depth reached, as each level above the trip counts one more candidate
+    before it sees it.
     """
     w = normalize_weights(weights)
     if w.t < 2:
@@ -333,15 +330,15 @@ def exact_capacity(
         raise ValueError("need q >= 1")
     if q**n_rows > 10_000:
         raise ValueError("search space too large: need q**N <= 10000")
+    if node_budget < 1:
+        raise ValueError("need node_budget >= 1")
     start = time.perf_counter()
     u = w.u
     searcher = _CapacitySearch(n_rows, q, w, node_budget)
     searcher.run()
     best = searcher.best
     elapsed = time.perf_counter() - start
-    if len(best) >= u - 1 or q**n_rows >= u - 1:
-        # The canonical search covers the vacuous regime whenever enough
-        # distinct columns exist.
+    if len(best) >= u - 1:
         witness = Matrix(
             tuple(
                 tuple(searcher.columns[j][r] for j in best) for r in range(n_rows)
@@ -350,8 +347,8 @@ def exact_capacity(
         )
         value = len(best)
     else:
-        # Fewer than u-1 distinct columns exist at all; duplicates still
-        # give the vacuous maximum u-1.
+        # Fewer than u-1 distinct columns exist, or the budget tripped
+        # first; u-1 duplicate columns still have no tuple to violate.
         witness = Matrix(tuple(tuple(0 for _ in range(u - 1)) for _ in range(n_rows)), q)
         value = u - 1
     _certify(find_violation(witness, w) is None, f"capacity witness is {w}-separating")
@@ -529,12 +526,7 @@ class _RainbowFreeSearch:
         chosen = self.chosen
         if len(chosen) > len(self.best):
             self.best = [self.candidates[c] for c in chosen]
-        if self.nodes >= self.node_budget:
-            self.certified = False
-            return
         n = len(self.candidates)
-        if len(chosen) + (n - start) <= len(self.best):
-            return
         pair_mask = self.pair_mask
         for idx in range(start, n):
             if len(chosen) + (n - idx) <= len(self.best):
@@ -560,11 +552,12 @@ def rainbow_free_extremal_search(
     rejects a non-linear candidate in one AND, and a new cycle must pass
     through the newest edge, so only paths from it back to itself are
     searched.  The diagonal matching seeds the search, so the result always
-    has at least part_size edges.  Budget overruns return the best found,
-    flagged uncertified; the reported nodes can then exceed node_budget by
-    up to the depth reached, as each level above the trip counts one more
-    candidate before it sees it.  The final result is re-verified from
-    scratch (is_linear_hypergraph, find_rainbow_cycle) before returning.
+    has at least part_size edges.  node_budget must be at least 1; budget
+    overruns return the best found, flagged uncertified, and the reported
+    nodes can then exceed node_budget by up to the depth reached, as each
+    level above the trip counts one more candidate before it sees it.  The
+    final result is re-verified from scratch (is_linear_hypergraph,
+    find_rainbow_cycle) before returning.
     """
     if parts > 6 or part_size > 5:
         raise ValueError("desk-scale search: need parts <= 6 and part_size <= 5")
@@ -576,6 +569,8 @@ def rainbow_free_extremal_search(
     for k in ks:
         if not 3 <= k <= parts:
             raise ValueError(f"cycle length {k} outside [3, {parts}]")
+    if node_budget < 1:
+        raise ValueError("need node_budget >= 1")
     searcher = _RainbowFreeSearch(parts, part_size, tuple(ks), node_budget)
     searcher.run()
     h = PartiteHypergraph(parts, part_size, tuple(searcher.best))

@@ -1,9 +1,12 @@
 """Tests for the capacity bound engine and the simplex optimizer."""
 
+import json
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,6 +18,7 @@ from sephash.bounds import (
     FLAG_MONOTONE_EXT,
     FLAG_UNCHECKED,
     INF,
+    PROV_JOHNSON,
     PROV_NIU_CAO,
     PROV_SMALL_ALPHABET,
     _ascend,
@@ -479,10 +483,15 @@ class TestSmallAlphabetBound:
     def test_binary_pairs(self):
         assert small_alphabet_bound(8, 2, [2, 2]).value == pytest.approx(18.0)
 
-    def test_triple(self):
-        b = small_alphabet_bound(6, 3, [2, 2, 2])
-        phf = perfect_hash_upper_bound((2 / 9) * 6, 3, 3)
-        assert b.value == pytest.approx(phf.value + 3)
+    @pytest.mark.parametrize(
+        "n_rows, t, w",
+        [(6, 3, 2), (39, 5, 2), (8, 2, 2), (40, 4, 3), (200, 3, 4), (299, 9, 2)],
+    )
+    def test_equal_weights_are_the_phf_bound(self, n_rows, t, w):
+        # The equal-weight closed forms are terms of the phf minimum, so
+        # nothing beyond the reduction is evaluated.
+        phf = perfect_hash_upper_bound(equal_weight_max_rate(t, w) * n_rows, t, t)
+        assert small_alphabet_bound(n_rows, t, [w] * t).value == phf.value + t * w - t
 
     def test_rejects_weight_one(self):
         with pytest.raises(ValueError):
@@ -498,7 +507,7 @@ class TestSmallAlphabetBound:
         assert b.params["rate"] == pytest.approx(0.25, abs=1e-6)
 
     def test_past_double_range_is_infinity(self):
-        # Both the reduction and the equal-weight closed forms overflow.
+        # The reduction's perfect-hash terms overflow.
         assert small_alphabet_bound(5000, 2, [2, 2]).value == INF
 
 
@@ -513,6 +522,15 @@ class TestBestUpper:
 
     def test_three_rows_tie(self):
         assert best_upper_bound(3, 4, [1, 1, 1]).value == 20
+
+    @pytest.mark.parametrize(
+        "n_rows, q, weights", [(20, 2, (2, 2)), (12, 3, (1, 2, 2)), (30, 5, (1, 1, 1))]
+    )
+    def test_tie_goes_to_the_proven_bound(self, n_rows, q, weights):
+        # balanced-grouping ties johnson-recursion but assumes a hypothesis.
+        b = best_upper_bound(n_rows, q, weights)
+        assert (b.provenance, b.flags) == (PROV_JOHNSON, ())
+        assert b.value == balanced_grouping_bound(n_rows, q, weights).value
 
     def test_below_vacuous_candidates_skipped(self):
         # Tiny alphabet: the quadratic formula collapses below u-1 and must
@@ -600,3 +618,31 @@ class TestSandwich:
             lo = prob_lower_bound(n_rows, q, weights).value
             hi = best_upper_bound(n_rows, q, weights).value
             assert lo <= value <= hi, (n_rows, q, weights, lo, value, hi)
+
+
+def _same_bound_value(actual, golden) -> bool:
+    # The benchmark's rule: integers exactly, floats to 1e-9 relative.
+    if golden == "inf":
+        return actual == INF
+    if isinstance(golden, int):
+        return actual == golden
+    return math.isclose(actual, golden, rel_tol=1e-9, abs_tol=0.0)
+
+
+def test_matches_benchmark_goldens():
+    # perfbench/goldens_bounds.json pins every bound at the 5,040 points of
+    # the benchmark's grid; this catches an engine change that the
+    # benchmark's own output check would reject.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "goldens_bounds.json"
+    grid = json.loads(path.read_text(encoding="utf-8"))
+    assert len(grid) == 5040
+    mismatches = []
+    for key, golden in grid.items():
+        n_rows, q, weights = key.split()
+        got = applicable_upper_bounds(int(n_rows), int(q), [int(x) for x in weights.split(",")])
+        same = [b.provenance for b in got] == [p for p, _ in golden] and all(
+            _same_bound_value(b.value, v) for b, (_, v) in zip(got, golden)
+        )
+        if not same:
+            mismatches.append(key)
+    assert not mismatches, mismatches[:10]

@@ -217,6 +217,11 @@ class TestSearch:
         assert code == 2
         assert "q >= 1" in capsys.readouterr().err
 
+    def test_budget_below_one_exits_2(self, capsys):
+        code, _ = run(["search", "3", "3", "2,2", "--budget", "0"])
+        assert code == 2
+        assert "node_budget >= 1" in capsys.readouterr().err
+
 
 class TestConstruct:
     def test_identity(self, corpus):
@@ -247,6 +252,11 @@ class TestConstruct:
     def test_identity_bad_w_exit_2(self):
         code, _ = run(["construct", "identity", "3", "3"])
         assert code == 2
+
+    def test_rainbowfree_budget_below_one_exits_2(self, capsys):
+        code, _ = run(["construct", "rainbowfree", "3", "3", "--k", "3", "--budget", "0"])
+        assert code == 2
+        assert "node_budget >= 1" in capsys.readouterr().err
 
 
 class TestConvert:
@@ -279,6 +289,14 @@ class TestConvert:
             ["convert", corpus["identity4.txt"], "--group-rows", "2", "--double", "1"]
         )
         assert code == 2
+
+    def test_group_rows_past_symbol_limit_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "tall.txt"
+        path.write_text(write_matrix(Matrix.from_rows([[0, 1, 2]] * 40, 3)))
+        code, _ = run(["convert", str(path), "--group-rows", "40"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestUsage:

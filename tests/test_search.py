@@ -194,6 +194,18 @@ class TestExactCapacity:
         assert not r.exact
         assert find_violation(r.witness, [1, 1]) is None
 
+    @pytest.mark.parametrize("budget", [1, 2])
+    def test_tripped_search_keeps_vacuous_columns(self, budget):
+        # Tripped before depth u-1 = 3: the u-1 vacuous columns still stand.
+        r = exact_capacity(3, 3, (2, 2), node_budget=budget)
+        assert (r.value, r.exact, r.witness.cols) == (3, False, 3)
+        assert find_violation(r.witness, (2, 2)) is None
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_rejects_budget_below_one(self, budget):
+        with pytest.raises(ValueError, match="node_budget >= 1"):
+            exact_capacity(3, 3, (2, 2), node_budget=budget)
+
     def test_monotone_in_rows_and_alphabet(self):
         grid = {}
         for n_rows in (1, 2, 3):
@@ -310,6 +322,11 @@ class TestRainbowFreeSearch:
         r = rainbow_free_extremal_search(4, 3, [3], node_budget=5)
         assert not r.certified
         assert r.edge_count >= 3  # seeded matching survives
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_rejects_budget_below_one(self, budget):
+        with pytest.raises(ValueError, match="node_budget >= 1"):
+            rainbow_free_extremal_search(3, 3, [3], node_budget=budget)
 
     @pytest.mark.parametrize(
         "parts, q, ks, budget, edges, nodes, certified",
