@@ -60,6 +60,9 @@ FLAG_UNCHECKED = "unchecked-hypothesis"
 FLAG_MONOTONE_EXT = "monotonicity-extended"
 FLAG_BELOW_VACUOUS = "below-vacuous-range"
 
+# Flags that keep a bound from winning best_upper_bound.
+_ADVISORY = frozenset((FLAG_UNCHECKED, FLAG_ASYMPTOTIC, FLAG_BELOW_VACUOUS))
+
 
 @dataclass(frozen=True)
 class BoundResult:
@@ -103,12 +106,7 @@ def all_distinct_probability(q: int, j: int) -> Fraction:
         raise ValueError("j must be positive")
     if q < 1:
         raise ValueError("q must be positive")
-    if j > q:
-        return Fraction(0)
-    num = 1
-    for i in range(j):
-        num *= q - i
-    return Fraction(num, q**j)
+    return Fraction(math.perm(q, j), q**j)
 
 
 def blackburn_bound(q: int, weights) -> BoundResult:
@@ -142,7 +140,9 @@ def niu_cao_bound(q: int, w: int) -> BoundResult:
         raise ValueError("need w >= 2")
     wt = SeparationType.of([w, w])
     value = (q - 1) ** 2 + 1
-    return _upper(value, PROV_NIU_CAO, wt, {"q": q, "w": w, "N": 2 * w})
+    return _upper(
+        value, PROV_NIU_CAO, wt, {"q": q, "w": w, "N": 2 * w}, flags=(FLAG_UNCHECKED,)
+    )
 
 
 def _balanced_value(n_rows: int, q: int, span: int):
@@ -308,6 +308,12 @@ def johnson_recursive_bound(n_rows: int, q: int, weights) -> BoundResult:
     return _upper(value, PROV_JOHNSON, w, {"q": q, "weights": w.weights, "N": n_rows}, flags)
 
 
+def _log_prob_lower(n_rows: int, q: int, w: SeparationType) -> tuple[float, float]:
+    """g and the natural log of prob_lower_bound's value, finite at every N."""
+    g = float(all_distinct_probability(q, w.u))
+    return g, -w.u * math.log(2.0) - n_rows / (w.u - 1) * math.log1p(-g)
+
+
 def prob_lower_bound(n_rows: int, q: int, weights) -> BoundResult:
     """Random-construction lower bound 2**-u * (1 - g)**(-N/(u-1)).
 
@@ -317,9 +323,9 @@ def prob_lower_bound(n_rows: int, q: int, weights) -> BoundResult:
     w = normalize_weights(weights)
     if w.u < 2:
         raise ValueError("need u >= 2")
-    g = float(all_distinct_probability(q, w.u))
+    g, log_value = _log_prob_lower(n_rows, q, w)
     try:
-        value = 2.0**-w.u * (1.0 - g) ** (-n_rows / (w.u - 1))
+        value = math.exp(log_value)
     except OverflowError:
         raise ValueError(
             f"probabilistic lower bound at N = {n_rows} is past the double range (1.8e308)"
@@ -696,21 +702,23 @@ def applicable_upper_bounds(n_rows: int, q: int, weights) -> list[BoundResult]:
 
 
 def best_upper_bound(n_rows: int, q: int, weights) -> BoundResult:
-    """Minimum over all applicable upper bounds.
+    """Least applicable upper bound that is proven at (N, q, W).
 
-    Results flagged below-vacuous-range (a formula evaluated outside its
-    sensible parameter range) cannot be correct upper bounds and are
-    skipped.  A tie goes to a bound without the unchecked-hypothesis flag,
-    so a proven bound wins over an equal conditional one.  The winner is
-    checked against the probabilistic lower bound.
+    A bound flagged unchecked-hypothesis, asymptotic-approximate or
+    below-vacuous-range never wins: its value is not established here
+    (niu-cao at (4, 3, {2,2}) gives 5, below a verified 9-column family).
+    The Johnson-type recursion always qualifies, so there is a winner.  It
+    is checked against the probabilistic lower bound in logarithms, so the
+    check runs at every N, also where that bound is past the double range.
     """
     w = normalize_weights(weights)
-    candidates = [
-        b for b in applicable_upper_bounds(n_rows, q, w) if FLAG_BELOW_VACUOUS not in b.flags
-    ]
-    winner = min(candidates, key=lambda b: (b.value, FLAG_UNCHECKED in b.flags))
-    lower = prob_lower_bound(n_rows, q, w)
+    winner = min(
+        (b for b in applicable_upper_bounds(n_rows, q, w) if not _ADVISORY.intersection(b.flags)),
+        key=lambda b: b.value,
+    )
+    _, log_lower = _log_prob_lower(n_rows, q, w)
     _certify(
-        winner.value >= lower.value, "upper bound is at least the probabilistic lower bound"
+        math.log(winner.value) >= log_lower,
+        "upper bound is at least the probabilistic lower bound",
     )
     return winner

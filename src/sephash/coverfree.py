@@ -41,8 +41,6 @@ def is_cff(m: Matrix, w: int) -> tuple[int, tuple[int, ...]] | None:
     _require_binary(m)
     if w < 1:
         raise ValueError("w must be positive")
-    if m.cols <= w:
-        return None
     # The 1-entry of row r is bit 2r + 1 of a column's vertex mask.
     masks = _vertex_masks(m.columns(), 2)
     ones = sum(2 << (2 * r) for r in range(m.rows))
@@ -152,7 +150,7 @@ def frameproof_threshold_bounds(w: int) -> ThresholdBounds:
     """
     if w < 3:
         raise ValueError("w must be at least 3")
-    quad = QUADRATIC_COEFF * (w - 2) ** 2
+    quad = cover_free_threshold_lower(w - 2)
     quad_int = int(math.floor(quad + _GUARD)) + 1
     pairs_int = math.comb(w + 1, 2) + 1
     linear_int = 3 * w

@@ -152,8 +152,6 @@ def find_rainbow_cycle(h: PartiteHypergraph, k: int) -> RainbowCycle | None:
     if not 3 <= k <= h.parts:
         raise ValueError(f"cycle length must lie in [3, {h.parts}]")
     m = len(h.edges)
-    if m < k:
-        return None
     q = h.part_size
     masks = _vertex_masks(h.edges, q)
     incidence = _incidence(masks, h.parts * q)

@@ -82,14 +82,11 @@ class Matrix:
     def cols(self) -> int:
         return len(self.entries[0])
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
+        return list(zip(*self.entries))
 
     def submatrix(self, column_indices) -> "Matrix":
         """Matrix restricted to the given columns, in the given order."""
@@ -150,45 +147,38 @@ def normalize_weights(weights) -> SeparationType:
 
 def parse_matrix(text: str) -> Matrix:
     """Parse the matrix file format; errors report 1-based line numbers."""
-    header: tuple[int, int, int] | None = None
-    header_line = 0
+    content = [
+        (lineno, fields)
+        for lineno, fields in enumerate(map(str.split, text.splitlines()), start=1)
+        if fields and not fields[0].startswith("#")
+    ]
+    if not content:
+        raise MatrixFormatError("empty input: missing header")
+    (header_line, header), *body = content
+    if len(header) != 3:
+        raise MatrixFormatError("header must be 'N n q'", header_line)
+    try:
+        n_rows, n_cols, q = map(int, header)
+    except ValueError:
+        raise MatrixFormatError("header must contain integers", header_line) from None
+    if n_rows < 1 or n_cols < 0 or q < 1:
+        raise MatrixFormatError("header requires N >= 1, n >= 0, q >= 1", header_line)
     rows: list[tuple[int, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            fields = line.split()
-            if len(fields) != 3:
-                raise MatrixFormatError("header must be 'N n q'", lineno)
-            try:
-                n_rows, n_cols, q = (int(f) for f in fields)
-            except ValueError:
-                raise MatrixFormatError("header must contain integers", lineno) from None
-            if n_rows < 1 or n_cols < 0 or q < 1:
-                raise MatrixFormatError("header requires N >= 1, n >= 0, q >= 1", lineno)
-            header = (n_rows, n_cols, q)
-            header_line = lineno
-            continue
-        n_rows, n_cols, q = header
+    for lineno, fields in body:
         if len(rows) >= n_rows:
             raise MatrixFormatError("unexpected content after last row", lineno)
-        fields = line.split()
         if len(fields) != n_cols:
             raise MatrixFormatError(
                 f"row has {len(fields)} entries, expected {n_cols}", lineno
             )
         try:
-            row = tuple(int(f) for f in fields)
+            row = tuple(map(int, fields))
         except ValueError:
             raise MatrixFormatError("row entries must be integers", lineno) from None
         for e in row:
             if not 0 <= e < q:
                 raise MatrixFormatError(f"entry {e} out of range [0, {q})", lineno)
         rows.append(row)
-    if header is None:
-        raise MatrixFormatError("empty input: missing header")
-    n_rows, n_cols, q = header
     if n_cols == 0:
         # Zero-width rows carry no text; synthesize them.
         rows = [()] * n_rows

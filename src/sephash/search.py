@@ -46,7 +46,14 @@ from .hypergraph import (
     is_linear_hypergraph,
 )
 # CertificationError is re-exported: sephash.search.CertificationError stays.
-from .matrix import CertificationError, Matrix, SeparationType, _certify, normalize_weights
+from .matrix import (
+    CertificationError,
+    Matrix,
+    SeparationType,
+    _certify,
+    normalize_weights,
+    write_matrix,
+)
 from .verification import PreconditionError, _first_nonlinear_pair, find_violation
 
 _DEFAULT_NODE_BUDGET = 5_000_000
@@ -114,7 +121,6 @@ def reed_solomon_frameproof(q: int, n_rows: int, w: int) -> Matrix:
             col.append(val)
         columns.append(tuple(col))
     m = Matrix(tuple(zip(*columns)), q)
-    _certify(m.cols == q**k, f"code has q**k = {q**k} columns")
     a = (n_rows - 1) // w
     _certify(
         _first_nonlinear_pair(columns, a) is None,
@@ -167,8 +173,6 @@ class CapacityResult:
     exact: bool
 
     def as_json_dict(self) -> dict:
-        from .matrix import write_matrix
-
         return {
             "N": self.rows,
             "q": self.q,
@@ -333,30 +337,19 @@ def exact_capacity(
     if node_budget < 1:
         raise ValueError("need node_budget >= 1")
     start = time.perf_counter()
-    u = w.u
     searcher = _CapacitySearch(n_rows, q, w, node_budget)
     searcher.run()
-    best = searcher.best
     elapsed = time.perf_counter() - start
-    if len(best) >= u - 1:
-        witness = Matrix(
-            tuple(
-                tuple(searcher.columns[j][r] for j in best) for r in range(n_rows)
-            ),
-            q,
-        )
-        value = len(best)
-    else:
-        # Fewer than u-1 distinct columns exist, or the budget tripped
-        # first; u-1 duplicate columns still have no tuple to violate.
-        witness = Matrix(tuple(tuple(0 for _ in range(u - 1)) for _ in range(n_rows)), q)
-        value = u - 1
+    # Fewer than u-1 distinct columns exist, or the budget tripped first:
+    # u-1 copies of column 0 (all-zero) still have no tuple to violate.
+    best = searcher.best if len(searcher.best) >= w.u - 1 else [0] * (w.u - 1)
+    witness = Matrix(tuple(zip(*(searcher.columns[j] for j in best))), q)
     _certify(find_violation(witness, w) is None, f"capacity witness is {w}-separating")
     return CapacityResult(
         rows=n_rows,
         q=q,
         weights=w.weights,
-        value=value,
+        value=len(best),
         witness=witness,
         nodes=searcher.nodes,
         elapsed=elapsed,

@@ -113,6 +113,8 @@ def find_violation(m: Matrix, weights) -> ViolationWitness | None:
     """
     sizes = normalize_weights(weights).weights
     n = m.cols
+    # The search would also find nothing, but only after trying every way
+    # to fill the leading parts, a count exponential in the column count.
     if n < sum(sizes):
         return None
     full = (1 << m.rows) - 1

@@ -199,8 +199,13 @@ def test_criterion_05_bound_engine_regression():
     with criterion(5, "bound engine regression values"):
         assert balanced_grouping_bound(3, 4, [1, 1, 1]).value == 20
         assert johnson_recursive_bound(4, 3, [2, 2]).value == 15
+        # niu-cao's quoted 5 is listed but flagged unchecked-hypothesis; the
+        # proven bound wins, and it caps the verified 9-column family.
         best = best_upper_bound(4, 3, [2, 2])
-        assert best.value == 5 and best.provenance == "niu-cao"
+        assert (best.provenance, best.value, best.flags) == ("johnson-recursion", 15, ())
+        found = exact_capacity(4, 3, (2, 2))
+        assert found.exact and found.value == found.witness.cols == 9
+        assert find_violation(found.witness, (2, 2)) is None
         # Linear bound and balanced grouping coincide at N = u - 1.
         weight_sets = []
 

@@ -513,9 +513,13 @@ class TestSmallAlphabetBound:
 
 class TestBestUpper:
     def test_secure_frameproof_winner(self):
+        # niu-cao's 5 is listed but flagged: a verified 9-column family
+        # exists (acceptance 05), so the proven Johnson value wins.
+        listed = applicable_upper_bounds(4, 3, [2, 2])
+        niu_cao = [(b.value, b.flags) for b in listed if b.provenance == PROV_NIU_CAO]
+        assert niu_cao == [(5, (FLAG_UNCHECKED,))]
         b = best_upper_bound(4, 3, [2, 2])
-        assert b.value == 5
-        assert b.provenance == PROV_NIU_CAO
+        assert (b.provenance, b.value, b.flags) == (PROV_JOHNSON, 15, ())
 
     def test_single_row(self):
         assert best_upper_bound(1, 7, [1, 1]).value == 7
@@ -566,10 +570,14 @@ class TestBestUpper:
         provs = {b.provenance for b in applicable_upper_bounds(20, 9, [2] * 9)}
         assert PROV_SMALL_ALPHABET in provs
 
-    def test_lower_past_double_range_is_a_value_error(self):
-        # The winner is still checked against the probabilistic lower bound.
+    @pytest.mark.parametrize("n_rows, q, weights", [(5000, 4, (1, 2)), (3000, 3, (1, 1))])
+    def test_answers_where_the_lower_bound_is_past_double_range(self, n_rows, q, weights):
+        # The winner is checked against the lower bound in logarithms.
         with pytest.raises(ValueError, match="double range"):
-            best_upper_bound(5000, 4, [1, 2])
+            prob_lower_bound(n_rows, q, weights)
+        b = best_upper_bound(n_rows, q, weights)
+        assert b.provenance == PROV_JOHNSON and b.flags == ()
+        assert b.value == johnson_recursive_bound(n_rows, q, weights).value
 
     @pytest.mark.parametrize("q", [0, -1])
     def test_rejects_alphabet_below_one(self, q):
@@ -595,9 +603,6 @@ class TestJsonShape:
 
 class TestSandwich:
     def test_capacity_between_bounds(self):
-        # Excludes the quadratic secure-frameproof points (N = 2w, {w,w}):
-        # the quoted formula is falsified there at small q (see
-        # niu_cao_bound's docstring), so it cannot cap a true capacity.
         from sephash.search import exact_capacity
 
         grid = [
@@ -612,6 +617,7 @@ class TestSandwich:
             (3, 3, (1, 1, 1)),
             (2, 2, (2, 2)),
             (3, 3, (2, 2)),
+            (4, 3, (2, 2)),
         ]
         for n_rows, q, weights in grid:
             value = exact_capacity(n_rows, q, weights).value

@@ -69,6 +69,18 @@ class TestVerify:
         code, out = run(["verify", corpus["identity4.txt"], "--cff", "3"])
         assert code == 0 and out["holds"] is True
 
+    def test_cff_failure_reports_witness(self, tmp_path):
+        # Column 2 has no 1-entry, so any other member covers it.
+        path = tmp_path / "zero-member.txt"
+        path.write_text(write_matrix(Matrix(((1, 0, 0), (0, 1, 0)), 2)))
+        code, out = run(["verify", str(path), "--cff", "2"])
+        assert code == 1
+        assert out == {
+            "property": "cover-free(2)",
+            "holds": False,
+            "witness": {"member": 2, "cover": [0, 1]},
+        }
+
     def test_linear_mode(self, corpus):
         code, out = run(["verify", corpus["cycle4.txt"], "--linear"])
         assert code == 0 and out["holds"] is True
@@ -208,7 +220,7 @@ class TestSearch:
         )
         assert code == 0
         assert out["value"] == 4 and out["exact"] is True
-        witness = parse_matrix(open(out_path).read())
+        witness = parse_matrix(Path(out_path).read_text())
         assert find_violation(witness, [1, 1]) is None
 
     @pytest.mark.parametrize("q", ["0", "-1"])
@@ -228,21 +240,21 @@ class TestConstruct:
         path = corpus["tmp"] + "/id.txt"
         code, _ = run(["construct", "identity", "5", "2", "--out", path])
         assert code == 0
-        m = parse_matrix(open(path).read())
+        m = parse_matrix(Path(path).read_text())
         assert m.rows == 5 and find_violation(m, [1, 2]) is None
 
     def test_rs_size(self, corpus):
         path = corpus["tmp"] + "/rs.txt"
         code, _ = run(["construct", "rs", "5", "4", "2", "--out", path])
         assert code == 0
-        assert parse_matrix(open(path).read()).cols == 25
+        assert parse_matrix(Path(path).read_text()).cols == 25
 
     def test_random_deterministic(self, corpus):
         a = corpus["tmp"] + "/a.txt"
         b = corpus["tmp"] + "/b.txt"
         run(["construct", "random", "3", "3", "1,1", "--seed", "5", "--out", a])
         run(["construct", "random", "3", "3", "1,1", "--seed", "5", "--out", b])
-        assert open(a).read() == open(b).read()
+        assert Path(a).read_text() == Path(b).read_text()
 
     def test_rainbowfree_json(self):
         code, out = run(["construct", "rainbowfree", "3", "2", "--k", "3"])
@@ -264,14 +276,14 @@ class TestConvert:
         path = corpus["tmp"] + "/g.txt"
         code, _ = run(["convert", corpus["identity4.txt"], "--group-rows", "2", "--out", path])
         assert code == 0
-        m = parse_matrix(open(path).read())
+        m = parse_matrix(Path(path).read_text())
         assert (m.rows, m.q) == (2, 4)
 
     def test_double(self, corpus):
         path = corpus["tmp"] + "/d.txt"
         code, _ = run(["convert", corpus["identity4.txt"], "--double", "3", "--out", path])
         assert code == 0
-        m = parse_matrix(open(path).read())
+        m = parse_matrix(Path(path).read_text())
         assert (m.rows, m.cols) == (8, 4)
 
     def test_derive(self, corpus):
@@ -280,7 +292,12 @@ class TestConvert:
             ["convert", corpus["identity4.txt"], "--derive", "0", "--w", "2", "--out", path]
         )
         assert code == 0
-        assert parse_matrix(open(path).read()).cols == 3
+        assert parse_matrix(Path(path).read_text()).cols == 3
+
+    def test_derive_without_w_exits_2(self, corpus, capsys):
+        code, _ = run(["convert", corpus["identity4.txt"], "--derive", "0"])
+        assert code == 2
+        assert "--derive needs --w" in capsys.readouterr().err
 
     def test_requires_exactly_one_mode(self, corpus):
         code, _ = run(["convert", corpus["identity4.txt"]])

@@ -124,6 +124,13 @@ class TestFindRainbowCycle:
         h = matrix_to_hypergraph(chain4)
         assert find_rainbow_cycle(h, 3) is None
 
+    @pytest.mark.parametrize("count", [0, 1, 2, 3])
+    def test_fewer_edges_than_length(self, chain4, count):
+        # All four edges of chain4 carry a rainbow 4-cycle; fewer cannot.
+        h = matrix_to_hypergraph(chain4)
+        short = PartiteHypergraph(h.parts, h.part_size, h.edges[:count])
+        assert find_rainbow_cycle(short, 4) is None
+
 
 # Tie-breaks recorded from the earlier implementation (now
 # reference_find_rainbow_cycle): the closing vertex's part ranks first.

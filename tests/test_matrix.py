@@ -73,6 +73,34 @@ class TestParse:
         m = parse_matrix("3 0 2")
         assert (m.rows, m.cols) == (3, 0)
 
+    # One case per MatrixFormatError raise, with comments and blank lines
+    # shifting the reported line; line None means no line is attached.
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            ("", "empty input: missing header", None),
+            ("# only a comment\n\n   \n", "empty input: missing header", None),
+            ("# c\n\n2 2\n0 1\n1 0", "header must be 'N n q'", 3),
+            ("\n2 x 2\n0 1", "header must contain integers", 2),
+            ("# c\n0 2 2\n", "header requires N >= 1, n >= 0, q >= 1", 2),
+            ("1 -1 2", "header requires N >= 1, n >= 0, q >= 1", 1),
+            ("\n\n1 1 0\n", "header requires N >= 1, n >= 0, q >= 1", 3),
+            ("1 1 2\n\n0\n# c\n1", "unexpected content after last row", 5),
+            ("# c\n1 3 2\n\n0 1", "row has 2 entries, expected 3", 4),
+            ("1 2 2\nx y z", "row has 3 entries, expected 2", 2),
+            ("2 2 2\n0 1\n# c\n0 x", "row entries must be integers", 4),
+            ("1 2 2\n5 x", "row entries must be integers", 2),
+            ("# c\n2 2 2\n0 1\n\n0 7", "entry 7 out of range [0, 2)", 5),
+            ("2 2 2\n0 1 1\n0 x", "row has 3 entries, expected 2", 2),
+            ("# c\n\n2 2 2\n0 1\n# end\n", "expected 2 rows, found 1", 3),
+        ],
+    )
+    def test_format_errors(self, text, message, line):
+        with pytest.raises(MatrixFormatError) as err:
+            parse_matrix(text)
+        assert err.value.line == line
+        assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
     @given(small_matrices())
     def test_round_trip(self, m):
         assert parse_matrix(write_matrix(m)) == m

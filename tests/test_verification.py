@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from sephash import verification
 from sephash.matrix import Matrix
 from sephash.search import cyclic_overlap_matrix, identity_construction, reed_solomon_frameproof
 from sephash.verification import (
@@ -76,6 +77,15 @@ class TestFindViolation:
     def test_vacuous_when_too_few_columns(self):
         m = Matrix(((0, 0), (0, 0)), 2)
         assert find_violation(m, [1, 2]) is None
+
+    def test_too_few_columns_skip_the_search(self, monkeypatch):
+        # Without the early exit the search tries every way to fill the
+        # leading parts before it finds nothing, exponentially many.
+        def search_ran(*args):
+            raise AssertionError("the search ran on fewer than u columns")
+
+        monkeypatch.setattr(verification, "_first_cover", search_ran)
+        assert find_violation(Matrix(((0,) * 13,), 2), [2] * 7) is None
 
     def test_witness_sound(self, chain4):
         w = find_violation(chain4, [2, 2])
