@@ -11,9 +11,9 @@ that no row separates the odd-position edges from the even-position ones,
 which converts directly into a separation violation witness.
 
 find_rainbow_cycle is one depth-first walk over bitmasks: vertex (i, s) is
-bit i*q + s of an edge's vertex mask, and a vertex's incidence mask holds
-the edges through it.  Each path keeps the least part sequence for every
-set of parts its shared vertices can use.
+bit i*width + (rank of s among part i's symbols) of an edge's vertex mask,
+and a vertex's incidence mask holds the edges through it.  Each path keeps
+the least part sequence for every set of parts its shared vertices can use.
 """
 
 from __future__ import annotations
@@ -147,14 +147,16 @@ def find_rainbow_cycle(h: PartiteHypergraph, k: int) -> RainbowCycle | None:
     for that sequence, the lexicographically least tuple of vertex parts
     (p0, ..., p(k-1)) in RainbowCycle.vertices order, the closing vertex
     (shared by the last and first edges) first.  Callers wanting any length
-    iterate k = 3..r ascending.
+    iterate k = 3..r ascending.  Memory grows with the edge count, not with
+    part_size: the masks use per-part symbol ranks, which keep the order.
     """
     if not 3 <= k <= h.parts:
         raise ValueError(f"cycle length must lie in [3, {h.parts}]")
     m = len(h.edges)
-    q = h.part_size
-    masks = _vertex_masks(h.edges, q)
-    incidence = _incidence(masks, h.parts * q)
+    ranks = [{s: r for r, s in enumerate(sorted(set(col)))} for col in zip(*h.edges)]
+    width = max(map(len, ranks), default=1)
+    masks = _vertex_masks([[rk[s] for rk, s in zip(ranks, e)] for e in h.edges], width)
+    incidence = _incidence(masks, h.parts * width)
     # reach[j]: the edges meeting edge j, itself included.
     reach = [reduce(or_, map(incidence.__getitem__, _bits(mask)), 0) for mask in masks]
 
@@ -163,7 +165,7 @@ def find_rainbow_cycle(h: PartiteHypergraph, k: int) -> RainbowCycle | None:
         last = seq[-1]
         if len(seq) == k:
             for v in _bits(masks[last] & masks[seq[0]]):
-                p = v // q
+                p = v // width
                 free = [parts for mask, parts in options.items() if not mask >> p & 1]
                 if free:
                     parts = (p,) + min(free)
@@ -173,7 +175,7 @@ def find_rainbow_cycle(h: PartiteHypergraph, k: int) -> RainbowCycle | None:
         for e in _bits(reach[last] & ~used):
             grown: dict[int, tuple[int, ...]] = {}
             for v in _bits(masks[last] & masks[e]):
-                p = v // q
+                p = v // width
                 for mask, parts in options.items():
                     if not mask >> p & 1:
                         key, ext = mask | 1 << p, parts + (p,)

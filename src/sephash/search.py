@@ -40,6 +40,7 @@ from itertools import combinations, product
 from .bounds import all_distinct_probability
 from .hypergraph import (
     PartiteHypergraph,
+    _bits,
     _incidence,
     _vertex_masks,
     find_rainbow_cycle,
@@ -195,7 +196,7 @@ class _CapacitySearch:
         self.u = sum(self.weights)
         self.node_budget = node_budget
         self.nodes = 0
-        self.columns = [tuple(col) for col in product(range(q), repeat=n_rows)]
+        self.columns = list(product(range(q), repeat=n_rows))
         # masks[j]: bit r*q + s set iff column j shows symbol s in row r.
         # incidence[r*q + s]: the columns that show symbol s in row r.
         self.masks = _vertex_masks(self.columns, q)
@@ -291,14 +292,13 @@ class _CapacitySearch:
         return [d for d in cand if allowed >> d & 1]
 
     def run(self):
-        chosen = [0]  # canonical: the all-zero column is index 0
-        cand = self._survivors(chosen, list(range(1, len(self.columns))))
-        self.best = [0]
-        self._dfs(chosen, cand)
+        # Canonical: the all-zero column is index 0.  No root filter: a lone
+        # column and a candidate are unseparated only if u = 2 and equal.
+        self._dfs([0], list(range(1, len(self.columns))))
 
     def _dfs(self, chosen, cand):
         if len(chosen) > len(self.best):
-            self.best = list(chosen)
+            self.best = chosen
         for idx, col in enumerate(cand):
             if len(chosen) + (len(cand) - idx) <= len(self.best):
                 return
@@ -307,9 +307,8 @@ class _CapacitySearch:
                 self.exhausted = False
                 return
             # col passed the filter as each chosen column joined: no recheck.
-            chosen.append(col)
-            self._dfs(chosen, self._survivors(chosen, cand[idx + 1 :]))
-            chosen.pop()
+            grown = chosen + [col]
+            self._dfs(grown, self._survivors(grown, cand[idx + 1 :]))
 
 
 def exact_capacity(
@@ -362,13 +361,15 @@ def random_shf_alteration(
 ) -> Matrix:
     """Random construction with deletion: sample columns, prune violations.
 
-    Starts from an expectation-optimal number of random columns (falls back
-    to 2u when the all-distinct probability vanishes), then repeatedly asks
-    the oracle for a violation and deletes that witness's highest column
-    until none remains.  Deterministic for a fixed seed; with trials > 1 the
-    largest verified family over per-trial seeds is returned.
+    Starts from an expectation-optimal number of random columns (at least
+    2u, at most 4096), then repeatedly asks the oracle for a violation and
+    deletes that witness's highest column until none remains.
+    Deterministic for a fixed seed; with trials > 1 the largest verified
+    family over per-trial seeds is returned.
     """
     w = normalize_weights(weights)
+    if w.t < 2:
+        raise ValueError("need at least two parts")
     if q < w.t:
         raise PreconditionError(
             f"need q >= t = {w.t}: fewer symbols can never separate {w.t} parts"
@@ -378,13 +379,12 @@ def random_shf_alteration(
     if trials < 1:
         raise ValueError("need trials >= 1")
     u = w.u
-    g = float(all_distinct_probability(q, u))
-    if g > 0.0:
-        optimal = (u * (1.0 - g) ** n_rows) ** (-1.0 / (u - 1))
-        m_init = max(2 * u, math.ceil(optimal))
-    else:
-        m_init = 2 * u
-    m_init = min(m_init, 4096)
+    # log of the optimum (u * (1-g)**N)**(-1/(u-1)), as (1-g)**N can underflow
+    # to 0.0; g = 0 makes it negative, so 2u wins.  g rounds to 1.0 for q past
+    # about 10**16, where the largest double below 1 stands in for it.
+    g = min(float(all_distinct_probability(q, u)), math.nextafter(1.0, 0.0))
+    log_pool = -(math.log(u) + n_rows * math.log1p(-g)) / (u - 1)
+    m_init = min(max(2 * u, math.ceil(math.exp(min(log_pool, math.log(4096))))), 4096)
 
     best: Matrix | None = None
     for trial in range(trials):
@@ -435,10 +435,11 @@ class _RainbowFreeSearch:
     """Subset search over candidate edges with bitmask linearity and cycle tests.
 
     Vertex masks follow hypergraph._vertex_masks, where vertex (i, s) is bit
-    i*q + s, and incidence is indexed by the same bit number.  Each vertex pair
-    in distinct parts owns one bit of the pair masks, so two edges share two
-    vertices iff their pair masks meet, and a candidate is linear with the
-    chosen edges iff its pair mask misses the OR of theirs.
+    i*q + s, and incidence[v] (hypergraph._incidence) holds the candidates
+    through v.  The chosen edges are a bitmask of candidate indices.  Each
+    vertex pair in distinct parts owns one bit of the pair masks, so two
+    edges share two vertices iff their pair masks meet, and a candidate is
+    linear with the chosen edges iff its pair mask misses the OR of theirs.
     """
 
     def __init__(self, parts, part_size, ks, node_budget):
@@ -448,91 +449,74 @@ class _RainbowFreeSearch:
         self.node_budget = node_budget
         self.nodes = 0
         self.certified = True
-        self.candidates = [tuple(e) for e in product(range(part_size), repeat=parts)]
+        self.candidates = list(product(range(part_size), repeat=parts))
         part_pairs = list(combinations(range(parts), 2))
         q = part_size
         self.vertex_mask = _vertex_masks(self.candidates, q)
+        self.incidence = _incidence(self.vertex_mask, parts * q)
         self.pair_mask = [
             sum(1 << ((n * q + e[i]) * q + e[j]) for n, (i, j) in enumerate(part_pairs))
             for e in self.candidates
         ]
-        self.chosen: list[int] = []
-        # incidence[v]: bit p set iff chosen[p] holds vertex v.
-        self.incidence = [0] * (parts * q)
         # Seed: pairwise disjoint diagonal edges share no vertex, hence no cycle.
         self.best = [tuple(s for _ in range(parts)) for s in range(part_size)]
 
-    def push(self, c):
-        bit = 1 << len(self.chosen)
-        for i, s in enumerate(self.candidates[c]):
-            self.incidence[i * self.q + s] |= bit
-        self.chosen.append(c)
-
-    def pop(self):
-        c = self.chosen.pop()
-        keep = ~(1 << len(self.chosen))
-        for i, s in enumerate(self.candidates[c]):
-            self.incidence[i * self.q + s] &= keep
-
-    def closes_cycle(self, c):
+    def closes_cycle(self, c, chosen):
         """True iff candidate c, linear with the chosen edges, closes a rainbow cycle.
 
         Linearity leaves consecutive cycle edges exactly one shared vertex,
         so a rainbow k-cycle through c is a path c -> E1 -> ... -> E(k-1) -> c
         over distinct chosen edges whose k shared vertices lie in k distinct
         parts.  The path grows through the incidence masks of its last
-        edge's vertices in unused parts.
+        edge's vertices in unused parts, masked to the chosen edges off it.
         """
         parts, q, ks = self.parts, self.q, self.ks
         k_max = ks[-1]
-        candidates, chosen, incidence = self.candidates, self.chosen, self.incidence
+        candidates, incidence = self.candidates, self.incidence
         vertex_mask, new_mask = self.vertex_mask, self.vertex_mask[c]
 
-        def walk(edge, length, used_parts, used_edges):
+        def walk(edge, length, used_parts, avail):
             # Grow the path c, ..., edge (length edges, its length - 1 shared
-            # vertices in used_parts) by one chosen edge through an unused part.
+            # vertices in used_parts) by one edge of avail through an unused part.
             for p in range(parts):
                 if used_parts >> p & 1:
                     continue
                 used = used_parts | 1 << p
-                nxt = incidence[p * q + edge[p]] & ~used_edges
+                nxt = incidence[p * q + edge[p]] & avail
                 while nxt:
                     low = nxt & -nxt
                     nxt ^= low
-                    e = chosen[low.bit_length() - 1]
+                    e = low.bit_length() - 1
                     if length + 1 in ks:
                         shared = vertex_mask[e] & new_mask
                         if shared and not used >> ((shared.bit_length() - 1) // q) & 1:
                             return True
                     if length + 1 < k_max and walk(
-                        candidates[e], length + 1, used, used_edges | low
+                        candidates[e], length + 1, used, avail ^ low
                     ):
                         return True
             return False
 
-        return walk(candidates[c], 1, 0, 0)
+        return walk(candidates[c], 1, 0, chosen)
 
     def run(self):
-        self._dfs(0, 0)
+        self._dfs(0, 0, 0, 0)
 
-    def _dfs(self, start, covered):
-        chosen = self.chosen
-        if len(chosen) > len(self.best):
-            self.best = [self.candidates[c] for c in chosen]
+    def _dfs(self, start, size, chosen, covered):
+        if size > len(self.best):
+            self.best = [self.candidates[c] for c in _bits(chosen)]
         n = len(self.candidates)
         pair_mask = self.pair_mask
         for idx in range(start, n):
-            if len(chosen) + (n - idx) <= len(self.best):
+            if size + (n - idx) <= len(self.best):
                 return
             self.nodes += 1
             if self.nodes >= self.node_budget:
                 self.certified = False
                 return
-            if pair_mask[idx] & covered or self.closes_cycle(idx):
+            if pair_mask[idx] & covered or self.closes_cycle(idx, chosen):
                 continue
-            self.push(idx)
-            self._dfs(idx + 1, covered | pair_mask[idx])
-            self.pop()
+            self._dfs(idx + 1, size + 1, chosen | 1 << idx, covered | pair_mask[idx])
 
 
 def rainbow_free_extremal_search(

@@ -256,6 +256,11 @@ class TestConstruct:
         run(["construct", "random", "3", "3", "1,1", "--seed", "5", "--out", b])
         assert Path(a).read_text() == Path(b).read_text()
 
+    def test_random_single_part_exits_2(self, capsys):
+        code, _ = run(["construct", "random", "3", "3", "1", "--seed", "1"])
+        assert code == 2
+        assert "need at least two parts" in capsys.readouterr().err
+
     def test_rainbowfree_json(self):
         code, out = run(["construct", "rainbowfree", "3", "2", "--k", "3"])
         assert code == 0

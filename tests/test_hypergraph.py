@@ -1,6 +1,11 @@
 """Tests for the matrix<->hypergraph view and rainbow-cycle machinery."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -130,6 +135,35 @@ class TestFindRainbowCycle:
         h = matrix_to_hypergraph(chain4)
         short = PartiteHypergraph(h.parts, h.part_size, h.edges[:count])
         assert find_rainbow_cycle(short, 4) is None
+
+
+def test_large_alphabet_keeps_masks_small():
+    # Part size 2**40 with symbols spread over it: masks indexed by raw
+    # symbol would need terabytes.  The child caps its address space, so a
+    # search that sizes its masks by the alphabet fails fast with MemoryError.
+    small = ((0, 1, 0), (0, 0, 1), (1, 0, 0), (2, 2, 2))
+    big = tuple(tuple(s * 2**38 + 7 for s in e) for e in small)
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "import json\n"
+        "from sephash.hypergraph import PartiteHypergraph, find_rainbow_cycle\n"
+        f"h = PartiteHypergraph(3, 2**40, {big!r})\n"
+        "print(json.dumps(find_rainbow_cycle(h, 3).as_json_dict()))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    cycle = find_rainbow_cycle(PartiteHypergraph(3, 3, small), 3)
+    expected = {
+        "k": 3,
+        "vertices": [[p, s * 2**38 + 7] for p, s in cycle.vertices],
+        "edges": list(cycle.edges),
+    }
+    assert json.loads(proc.stdout) == expected
 
 
 # Tie-breaks recorded from the earlier implementation (now

@@ -294,6 +294,26 @@ class TestAlteration:
         with pytest.raises(PreconditionError):
             random_shf_alteration(2, 1, [1, 2], seed=0)
 
+    def test_rejects_single_part(self):
+        with pytest.raises(ValueError, match="need at least two parts"):
+            random_shf_alteration(3, 3, [1], seed=0)
+
+    @pytest.mark.parametrize(
+        "n_rows, q, weights, pool",
+        [
+            (3, 2, [1, 2], 6),  # g = 0: the 2u floor
+            (3, 4, [1, 1], 32),
+            (1, 30, [1, 1], 15),  # the optimum 15, exactly
+            (200, 1000, [1, 1], 4096),  # (1-g)**N underflows to 0.0
+            (24, 10**14, [1, 1], 4096),
+            (1, 10**17, [1, 1], 4096),  # g rounds to 1.0
+        ],
+    )
+    def test_initial_pool_size(self, monkeypatch, n_rows, q, weights, pool):
+        # With an oracle that finds nothing, no column is deleted.
+        monkeypatch.setattr("sephash.search.find_violation", lambda m, w: None)
+        assert random_shf_alteration(n_rows, q, weights, seed=0).cols == pool
+
 
 class TestRainbowFreeSearch:
     def test_triangle_free_max(self):
@@ -390,13 +410,9 @@ def test_closes_cycle_matches_definition(data):
             edges.append(e)
     new = edges.pop(data.draw(st.integers(0, len(edges) - 1)))
     searcher = _RainbowFreeSearch(parts, q, ks, node_budget=0)
-    for e in edges:
-        searcher.push(searcher.candidates.index(e))
-    got = searcher.closes_cycle(searcher.candidates.index(new))
+    chosen = sum(1 << searcher.candidates.index(e) for e in edges)
+    got = searcher.closes_cycle(searcher.candidates.index(new), chosen)
     assert got == _brute_cycle_through(new, edges, parts, ks)
-    for _ in edges:
-        searcher.pop()
-    assert not any(searcher.incidence)
 
 
 class TestCapacityLaws:
