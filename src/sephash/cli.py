@@ -24,6 +24,7 @@ from .hypergraph import (
 )
 from .matrix import (
     Matrix,
+    MatrixFormatError,
     SeparationType,
     group_rows,
     parse_matrix,
@@ -58,8 +59,16 @@ def _emit(payload) -> None:
 
 
 def _read_matrix(path: str) -> Matrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Number lines as parse_matrix does; the placeholder stands for the
+        # bad byte, so a break just before it starts a new line.
+        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise MatrixFormatError(f"byte 0x{data[exc.start]:02x} is not valid UTF-8", line) from None
+    return parse_matrix(text)
 
 
 def _write_output(matrix: Matrix, path: str | None) -> None:

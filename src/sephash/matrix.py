@@ -13,7 +13,9 @@ The text file format is:
     <row N-1>
 
 Lines starting with '#' are comments and are ignored (blank lines too).
-Writers are bit-exact: no trailing whitespace, single trailing newline.
+Tokens are read as int() reads them, so "+1", "01" and "1_0" are symbols;
+the writer prints canonical decimals.  Writers are bit-exact: no trailing
+whitespace, single trailing newline.
 """
 
 from __future__ import annotations
@@ -36,6 +38,34 @@ def _certify(holds: bool, claim: str) -> None:
         raise CertificationError(f"self-check failed: {claim}")
 
 
+class _Memo(dict):
+    """Dict of convert(key), computed on first lookup of each distinct key.
+
+    A matrix repeats a few symbols many times, so the parser and the
+    writer convert each distinct token once and look the rest up.
+    """
+
+    def __init__(self, convert):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, key):
+        value = self[key] = self.convert(key)
+        return value
+
+
+def _first_outside(row, q: int):
+    """First entry of row, in row order, outside [0, q); None if all lie inside.
+
+    The range test reads each distinct value once; only a failing row is
+    scanned in order, to name its first bad entry.
+    """
+    symbols = set(row)
+    if not symbols or (min(symbols) >= 0 and max(symbols) < q):
+        return None
+    return next(e for e in row if not 0 <= e < q)
+
+
 class MatrixFormatError(ValueError):
     """Malformed matrix file; carries the 1-based offending line number."""
 
@@ -50,8 +80,9 @@ class MatrixFormatError(ValueError):
 class Matrix:
     """Immutable N x n matrix over the alphabet {0, ..., q-1}.
 
-    entries is a tuple of row tuples.  N >= 1 and q >= 1 always; n may be
-    zero (a family with no columns).
+    entries is a tuple of row tuples of int (not bool, not float), so the
+    text format round-trips it.  N >= 1 and q >= 1 always; n may be zero
+    (a family with no columns).
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -62,13 +93,18 @@ class Matrix:
             raise ValueError("matrix needs at least one row")
         if self.q < 1:
             raise ValueError("alphabet size must be >= 1")
+        q = self.q
         width = len(self.entries[0])
         for i, row in enumerate(self.entries):
             if len(row) != width:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {width}")
-            for e in row:
-                if not 0 <= e < self.q:
-                    raise ValueError(f"entry {e} in row {i} outside [0, {self.q})")
+            # Types per entry: True and 1.0 would hide behind 1 in set(row).
+            if not set(map(type, row)) <= {int}:
+                e = next(e for e in row if type(e) is not int)
+                raise ValueError(f"entry {e!r} in row {i} is not an int")
+            bad = _first_outside(row, q)
+            if bad is not None:
+                raise ValueError(f"entry {bad} in row {i} outside [0, {q})")
 
     @classmethod
     def from_rows(cls, rows, q: int) -> "Matrix":
@@ -163,6 +199,7 @@ def parse_matrix(text: str) -> Matrix:
         raise MatrixFormatError("header must contain integers", header_line) from None
     if n_rows < 1 or n_cols < 0 or q < 1:
         raise MatrixFormatError("header requires N >= 1, n >= 0, q >= 1", header_line)
+    value_of = _Memo(int).__getitem__
     rows: list[tuple[int, ...]] = []
     for lineno, fields in body:
         if len(rows) >= n_rows:
@@ -172,12 +209,12 @@ def parse_matrix(text: str) -> Matrix:
                 f"row has {len(fields)} entries, expected {n_cols}", lineno
             )
         try:
-            row = tuple(map(int, fields))
+            row = tuple(map(value_of, fields))
         except ValueError:
             raise MatrixFormatError("row entries must be integers", lineno) from None
-        for e in row:
-            if not 0 <= e < q:
-                raise MatrixFormatError(f"entry {e} out of range [0, {q})", lineno)
+        bad = _first_outside(row, q)
+        if bad is not None:
+            raise MatrixFormatError(f"entry {bad} out of range [0, {q})", lineno)
         rows.append(row)
     if n_cols == 0:
         # Zero-width rows carry no text; synthesize them.
@@ -193,7 +230,8 @@ def write_matrix(m: Matrix) -> str:
     """Render a matrix in the text format (bit-exact, trailing newline)."""
     lines = [f"{m.rows} {m.cols} {m.q}"]
     if m.cols > 0:
-        lines.extend(" ".join(str(e) for e in row) for row in m.entries)
+        text_of = _Memo(str).__getitem__
+        lines.extend(" ".join(map(text_of, row)) for row in m.entries)
     return "\n".join(lines) + "\n"
 
 

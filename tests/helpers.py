@@ -9,7 +9,9 @@ reference rainbow-cycle search is the earlier find_rainbow_cycle, which
 assigns parts to each closed edge sequence by backtracking.  The bound
 engine's references are the earlier separation polynomial and gradient,
 which sum all t! permutations, and the earlier Johnson-type dynamic
-program, which scans every step length.
+program, which scans every step length.  The text-path references are the
+earlier parse_matrix and write_matrix and the entry loop of the earlier
+Matrix.__post_init__, which convert and range-test every entry one by one.
 """
 
 from functools import lru_cache
@@ -18,7 +20,7 @@ import random
 
 from sephash.bounds import INF, _decrement_weight
 from sephash.hypergraph import PartiteHypergraph, RainbowCycle
-from sephash.matrix import Matrix, normalize_weights
+from sephash.matrix import Matrix, MatrixFormatError, normalize_weights
 from sephash.verification import ViolationWitness
 
 
@@ -105,6 +107,62 @@ def reference_find_violation(m, weights):
         if bad == full:
             return ViolationWitness(parts)
     return None
+
+
+def reference_check_entries(entries, q) -> None:
+    """Row widths and entry ranges, one entry at a time (ValueError)."""
+    width = len(entries[0])
+    for i, row in enumerate(entries):
+        if len(row) != width:
+            raise ValueError(f"row {i} has {len(row)} entries, expected {width}")
+        for e in row:
+            if not 0 <= e < q:
+                raise ValueError(f"entry {e} in row {i} outside [0, {q})")
+
+
+def reference_parse_matrix(text: str) -> Matrix:
+    content = [
+        (lineno, fields)
+        for lineno, fields in enumerate(map(str.split, text.splitlines()), start=1)
+        if fields and not fields[0].startswith("#")
+    ]
+    if not content:
+        raise MatrixFormatError("empty input: missing header")
+    (header_line, header), *body = content
+    if len(header) != 3:
+        raise MatrixFormatError("header must be 'N n q'", header_line)
+    try:
+        n_rows, n_cols, q = map(int, header)
+    except ValueError:
+        raise MatrixFormatError("header must contain integers", header_line) from None
+    if n_rows < 1 or n_cols < 0 or q < 1:
+        raise MatrixFormatError("header requires N >= 1, n >= 0, q >= 1", header_line)
+    rows = []
+    for lineno, fields in body:
+        if len(rows) >= n_rows:
+            raise MatrixFormatError("unexpected content after last row", lineno)
+        if len(fields) != n_cols:
+            raise MatrixFormatError(f"row has {len(fields)} entries, expected {n_cols}", lineno)
+        try:
+            row = tuple(map(int, fields))
+        except ValueError:
+            raise MatrixFormatError("row entries must be integers", lineno) from None
+        for e in row:
+            if not 0 <= e < q:
+                raise MatrixFormatError(f"entry {e} out of range [0, {q})", lineno)
+        rows.append(row)
+    if n_cols == 0:
+        rows = [()] * n_rows
+    if len(rows) != n_rows:
+        raise MatrixFormatError(f"expected {n_rows} rows, found {len(rows)}", header_line)
+    return Matrix(tuple(rows), q)
+
+
+def reference_write_matrix(m: Matrix) -> str:
+    lines = [f"{m.rows} {m.cols} {m.q}"]
+    if m.cols > 0:
+        lines.extend(" ".join(str(e) for e in row) for row in m.entries)
+    return "\n".join(lines) + "\n"
 
 
 def _shared_parts(h: PartiteHypergraph, a: int, b: int) -> tuple[int, ...]:

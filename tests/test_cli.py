@@ -65,6 +65,24 @@ class TestVerify:
         code, _ = run(["verify", str(bad), "--type", "1,1"])
         assert code == 2
 
+    # Lines are numbered as parse_matrix numbers them: "\r" and "\r\n"
+    # each end one line, and a break just before the bad byte counts.
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"\xff2 2 2\n0 1\n1 0\n", 1),
+            (b"2 2 2\n0 1\n1 \xff\n", 3),
+            (b"# c\r\n2 2 2\r0 1\r\n\xff", 4),
+            (b"2 2 2\n0 1\n1 0\n# caf\xc3\xa9 \xc3\n", 4),
+        ],
+    )
+    def test_non_utf8_file_names_line(self, tmp_path, capsys, data, line):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(data)
+        code, _ = run(["verify", str(bad), "--type", "1,1"])
+        assert code == 2
+        assert f"error: line {line}: byte 0x" in capsys.readouterr().err
+
     def test_cff_mode(self, corpus):
         code, out = run(["verify", corpus["identity4.txt"], "--cff", "3"])
         assert code == 0 and out["holds"] is True

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sephash.matrix import (
     Matrix,
@@ -14,6 +14,8 @@ from sephash.matrix import (
     symbol_frequencies,
     write_matrix,
 )
+
+from helpers import reference_check_entries, reference_parse_matrix, reference_write_matrix
 
 
 def small_matrices(max_rows=4, max_cols=5, max_q=4):
@@ -101,6 +103,11 @@ class TestParse:
         assert err.value.line == line
         assert str(err.value) == (message if line is None else f"line {line}: {message}")
 
+    def test_tokens_read_as_int_literals(self):
+        m = parse_matrix("1 6 12\n+1 01 -0 1_0 \u0663 1")
+        assert m.entries == ((1, 1, 0, 10, 3, 1),)
+        assert write_matrix(m) == "1 6 12\n1 1 0 10 3 1\n"
+
     @given(small_matrices())
     def test_round_trip(self, m):
         assert parse_matrix(write_matrix(m)) == m
@@ -111,7 +118,81 @@ class TestParse:
         assert not any(line != line.rstrip() for line in text.splitlines())
 
 
+# Tokens int() accepts in odd spellings, tokens it rejects, and values just
+# outside small alphabets; the header is usually valid so rows get read.
+SOUP_TOKENS = ["0", "1", "2", "3", "6", "+1", "01", "-0", "1_0", "\u0663", "-1", "7", "12", "x", "1.0", "_1"]
+
+
+@st.composite
+def token_soups(draw):
+    n_rows = draw(st.integers(1, 4))
+    n_cols = draw(st.integers(0, 4))
+    q = draw(st.integers(1, 12))
+    header = draw(
+        st.sampled_from(
+            [f"{n_rows} {n_cols} {q}"] * 6 + [f"{n_rows} {n_cols}", f"{n_rows} x {q}", f"0 {n_cols} {q}"]
+        )
+    )
+    sep = st.sampled_from([" ", "\t", "  ", " \t "])
+    lines = [header]
+    for _ in range(n_rows + draw(st.sampled_from([0, 0, 0, 1, -1]))):
+        width = max(0, n_cols + draw(st.sampled_from([0, 0, 0, 0, 1, -1])))
+        tokens = [draw(st.sampled_from(SOUP_TOKENS)) for _ in range(width)]
+        lines.append(draw(sep).join(tokens))
+    for _ in range(draw(st.integers(0, 3))):
+        filler = draw(st.sampled_from(["", "   ", "\t", "# c", "#", "# 1 2 x"]))
+        lines.insert(draw(st.integers(0, len(lines))), filler)
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestTextPathMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(token_soups())
+    @example("1 3 12\n+1 01 \u0663\n")
+    @example("2 3 2\n0 1 1\n1 7 x\n")
+    def test_parse_and_write(self, text):
+        try:
+            want = reference_parse_matrix(text)
+        except MatrixFormatError as exc:
+            with pytest.raises(MatrixFormatError) as err:
+                parse_matrix(text)
+            assert (str(err.value), err.value.line) == (str(exc), exc.line)
+            return
+        got = parse_matrix(text)
+        assert got == want
+        assert all(type(e) is int for row in got.entries for e in row)
+        assert write_matrix(got) == reference_write_matrix(got)
+
+    @given(
+        st.lists(st.lists(st.integers(-3, 2**70), max_size=5), min_size=1, max_size=4),
+        st.integers(1, 2**70),
+    )
+    @example([[0, 1], [2, 9]], 5)
+    @example([[0, 1], [2]], 5)
+    def test_matrix_checks_and_write(self, rows, q):
+        entries = tuple(map(tuple, rows))
+        try:
+            reference_check_entries(entries, q)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                Matrix(entries, q)
+            assert str(err.value) == str(exc)
+            return
+        m = Matrix(entries, q)
+        assert write_matrix(m) == reference_write_matrix(m)
+
+
 class TestMatrixInvariants:
+    @pytest.mark.parametrize("entry", [True, False, 1.0, Fraction(1), "1", None])
+    def test_rejects_non_int_entries(self, entry):
+        with pytest.raises(ValueError, match=r"^entry .+ in row 1 is not an int$"):
+            Matrix(((0, 1, 0), (0, entry, 1)), 2)
+
+    def test_from_rows_casts(self):
+        m = Matrix.from_rows([[True, 0.0, 1]], 2)
+        assert m.entries == ((1, 0, 1),)
+        assert write_matrix(m) == "1 3 2\n1 0 1\n"
+
     def test_rejects_out_of_alphabet(self):
         with pytest.raises(ValueError):
             Matrix(((0, 3),), 2)

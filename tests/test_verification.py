@@ -159,8 +159,8 @@ def test_pinned_witness(name, build, weights, parts):
 
 
 @st.composite
-def small_matrices(draw):
-    q = draw(st.integers(1, 4))
+def small_matrices(draw, min_q=1, max_q=4):
+    q = draw(st.integers(min_q, max_q))
     n_rows = draw(st.integers(1, 6))
     n_cols = draw(st.integers(0, 11))
     cells = st.integers(0, q - 1)
@@ -176,6 +176,19 @@ def small_matrices(draw):
 @example(m=Matrix(((0, 0, 0, 0), (0, 0, 0, 0)), 1), weights=(1, 1, 2))
 @example(m=Matrix(((), ()), 2), weights=(1, 1))
 def test_find_violation_matches_reference_witness(m, weights):
+    assert find_violation(m, weights) == reference_find_violation(m, weights)
+
+
+# With q up to 40 most (row, symbol) classes are singletons, so the classes
+# that find_violation builds on first use are mostly one column long.
+@settings(max_examples=200, deadline=None)
+@given(
+    m=small_matrices(min_q=5, max_q=40),
+    weights=st.sampled_from([(1, 1), (1, 2), (2, 2), (1, 1, 2), (1, 2, 2), (3, 3)]),
+)
+@example(m=Matrix(((0, 1, 2, 3, 4, 0), (39, 38, 37, 36, 35, 39)), 40), weights=(1, 1))
+@example(m=Matrix(((0, 1, 2, 3), (7, 7, 8, 9), (10, 11, 10, 12)), 13), weights=(2, 2))
+def test_find_violation_matches_reference_witness_large_alphabet(m, weights):
     assert find_violation(m, weights) == reference_find_violation(m, weights)
 
 
