@@ -38,34 +38,6 @@ def _certify(holds: bool, claim: str) -> None:
         raise CertificationError(f"self-check failed: {claim}")
 
 
-class _Memo(dict):
-    """Dict of convert(key), computed on first lookup of each distinct key.
-
-    A matrix repeats a few symbols many times, so the parser and the
-    writer convert each distinct token once and look the rest up.
-    """
-
-    def __init__(self, convert):
-        super().__init__()
-        self.convert = convert
-
-    def __missing__(self, key):
-        value = self[key] = self.convert(key)
-        return value
-
-
-def _first_outside(row, q: int):
-    """First entry of row, in row order, outside [0, q); None if all lie inside.
-
-    The range test reads each distinct value once; only a failing row is
-    scanned in order, to name its first bad entry.
-    """
-    symbols = set(row)
-    if not symbols or (min(symbols) >= 0 and max(symbols) < q):
-        return None
-    return next(e for e in row if not 0 <= e < q)
-
-
 class MatrixFormatError(ValueError):
     """Malformed matrix file; carries the 1-based offending line number."""
 
@@ -80,31 +52,35 @@ class MatrixFormatError(ValueError):
 class Matrix:
     """Immutable N x n matrix over the alphabet {0, ..., q-1}.
 
-    entries is a tuple of row tuples of int (not bool, not float), so the
-    text format round-trips it.  N >= 1 and q >= 1 always; n may be zero
-    (a family with no columns).
+    entries is a tuple of row tuples of int, and q is an int (neither may
+    be bool or float), so the text format round-trips the matrix.  N >= 1
+    and q >= 1 always; n may be zero (a family with no columns).
     """
 
     entries: tuple[tuple[int, ...], ...]
     q: int
 
     def __post_init__(self):
+        if not isinstance(self.entries, tuple):
+            raise ValueError("entries must be a tuple of row tuples")
         if not self.entries:
             raise ValueError("matrix needs at least one row")
+        if type(self.q) is not int:
+            raise ValueError(f"alphabet size {self.q!r} is not an int")
         if self.q < 1:
             raise ValueError("alphabet size must be >= 1")
         q = self.q
         width = len(self.entries[0])
         for i, row in enumerate(self.entries):
+            if not isinstance(row, tuple):
+                raise ValueError(f"row {i} is not a tuple")
             if len(row) != width:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {width}")
-            # Types per entry: True and 1.0 would hide behind 1 in set(row).
-            if not set(map(type, row)) <= {int}:
-                e = next(e for e in row if type(e) is not int)
-                raise ValueError(f"entry {e!r} in row {i} is not an int")
-            bad = _first_outside(row, q)
-            if bad is not None:
-                raise ValueError(f"entry {bad} in row {i} outside [0, {q})")
+            for e in row:
+                if type(e) is not int:
+                    raise ValueError(f"entry {e!r} in row {i} is not an int")
+                if not 0 <= e < q:
+                    raise ValueError(f"entry {e} in row {i} outside [0, {q})")
 
     @classmethod
     def from_rows(cls, rows, q: int) -> "Matrix":
@@ -199,39 +175,47 @@ def parse_matrix(text: str) -> Matrix:
         raise MatrixFormatError("header must contain integers", header_line) from None
     if n_rows < 1 or n_cols < 0 or q < 1:
         raise MatrixFormatError("header requires N >= 1, n >= 0, q >= 1", header_line)
-    value_of = _Memo(int).__getitem__
     rows: list[tuple[int, ...]] = []
+    row_lines: list[int] = []
+
+    def error(message: str, line: int | None) -> MatrixFormatError:
+        # Matrix range-tests the entries once; an entry out of range on an
+        # earlier line is the first error, so look for one before this.
+        for row, at in zip(rows, row_lines):
+            for e in row:
+                if not 0 <= e < q:
+                    return MatrixFormatError(f"entry {e} out of range [0, {q})", at)
+        return MatrixFormatError(message, line)
+
     for lineno, fields in body:
         if len(rows) >= n_rows:
-            raise MatrixFormatError("unexpected content after last row", lineno)
+            raise error("unexpected content after last row", lineno)
         if len(fields) != n_cols:
-            raise MatrixFormatError(
-                f"row has {len(fields)} entries, expected {n_cols}", lineno
-            )
+            raise error(f"row has {len(fields)} entries, expected {n_cols}", lineno)
         try:
-            row = tuple(map(value_of, fields))
+            rows.append(tuple(map(int, fields)))
         except ValueError:
-            raise MatrixFormatError("row entries must be integers", lineno) from None
-        bad = _first_outside(row, q)
-        if bad is not None:
-            raise MatrixFormatError(f"entry {bad} out of range [0, {q})", lineno)
-        rows.append(row)
+            raise error("row entries must be integers", lineno) from None
+        row_lines.append(lineno)
     if n_cols == 0:
         # Zero-width rows carry no text; synthesize them.
         rows = [()] * n_rows
     if len(rows) != n_rows:
-        raise MatrixFormatError(
-            f"expected {n_rows} rows, found {len(rows)}", header_line
-        )
-    return Matrix(tuple(rows), q)
+        raise error(f"expected {n_rows} rows, found {len(rows)}", header_line)
+    try:
+        return Matrix(tuple(rows), q)
+    except ValueError as exc:
+        raise error(str(exc), None) from None
 
 
 def write_matrix(m: Matrix) -> str:
     """Render a matrix in the text format (bit-exact, trailing newline)."""
     lines = [f"{m.rows} {m.cols} {m.q}"]
     if m.cols > 0:
-        text_of = _Memo(str).__getitem__
-        lines.extend(" ".join(map(text_of, row)) for row in m.entries)
+        # One %-format per row is one C-level pass; entries are exact
+        # ints, which %d prints as str() does.
+        row_format = " ".join(["%d"] * m.cols)
+        lines.extend(row_format % row for row in m.entries)
     return "\n".join(lines) + "\n"
 
 

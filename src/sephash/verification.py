@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, compress, repeat
+from itertools import combinations
 from operator import eq, or_
 
 from .matrix import Matrix, normalize_weights
@@ -109,9 +109,7 @@ def find_violation(m: Matrix, weights) -> ViolationWitness | None:
     reach[z], the OR of completed parts' agreement rows with z; the last
     part is the first free combination whose reach covers the rows not yet
     bad (_first_cover).
-    Agreement rows are built lazily, and so is each (row, symbol) class
-    they read, so a violation found early never pays for the classes of
-    the whole matrix.
+    Agreement rows are built lazily from per-row symbol classes.
     """
     sizes = normalize_weights(weights).weights
     n = m.cols
@@ -120,19 +118,17 @@ def find_violation(m: Matrix, weights) -> ViolationWitness | None:
     if n < sum(sizes):
         return None
     full = (1 << m.rows) - 1
-    # classes[r][s]: the columns holding symbol s in row r, built on first use.
     classes: list[dict[int, list[int]]] = [{} for _ in m.entries]
+    for by_symbol, row in zip(classes, m.entries):
+        for z, s in enumerate(row):
+            by_symbol.setdefault(s, []).append(z)
     agreement: list[list[int] | None] = [None] * n
 
     def agreement_row(x: int) -> list[int]:
         if agreement[x] is None:
             got = agreement[x] = [0] * n
             for r, (row, by_symbol) in enumerate(zip(m.entries, classes)):
-                s = row[x]
-                members = by_symbol.get(s)
-                if members is None:
-                    members = by_symbol[s] = list(compress(range(n), map(eq, row, repeat(s))))
-                for z in members:
+                for z in by_symbol[row[x]]:
                     got[z] |= 1 << r
         return agreement[x]
 

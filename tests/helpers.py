@@ -10,8 +10,8 @@ assigns parts to each closed edge sequence by backtracking.  The bound
 engine's references are the earlier separation polynomial and gradient,
 which sum all t! permutations, and the earlier Johnson-type dynamic
 program, which scans every step length.  The text-path references are the
-earlier parse_matrix and write_matrix and the entry loop of the earlier
-Matrix.__post_init__, which convert and range-test every entry one by one.
+earlier parse_matrix, the earlier write_matrix, which prints each entry with
+str(), and the entry loop of the earlier Matrix.__post_init__.
 """
 
 from functools import lru_cache

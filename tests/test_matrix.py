@@ -150,6 +150,11 @@ class TestTextPathMatchesReference:
     @given(token_soups())
     @example("1 3 12\n+1 01 \u0663\n")
     @example("2 3 2\n0 1 1\n1 7 x\n")
+    # An entry out of range comes before any error on a later line.
+    @example("2 2 2\n0 7\n0 1 1\n")
+    @example("1 1 2\n5\n1\n")
+    @example("2 2 2\n0 7\n")
+    @example("2 2 2\n1 0\n3 -1\n")
     def test_parse_and_write(self, text):
         try:
             want = reference_parse_matrix(text)
@@ -187,6 +192,19 @@ class TestMatrixInvariants:
     def test_rejects_non_int_entries(self, entry):
         with pytest.raises(ValueError, match=r"^entry .+ in row 1 is not an int$"):
             Matrix(((0, 1, 0), (0, entry, 1)), 2)
+
+    @pytest.mark.parametrize(
+        "entries, q, message",
+        [
+            ([(0, 1)], 2, "entries must be a tuple of row tuples"),
+            (((0, 1), [1, 0]), 2, "row 1 is not a tuple"),
+            (((0, 1),), 2.0, "alphabet size 2.0 is not an int"),
+            (((0, 1),), True, "alphabet size True is not an int"),
+        ],
+    )
+    def test_rejects_mutable_rows_and_non_int_alphabet(self, entries, q, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Matrix(entries, q)
 
     def test_from_rows_casts(self):
         m = Matrix.from_rows([[True, 0.0, 1]], 2)

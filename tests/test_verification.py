@@ -179,8 +179,7 @@ def test_find_violation_matches_reference_witness(m, weights):
     assert find_violation(m, weights) == reference_find_violation(m, weights)
 
 
-# With q up to 40 most (row, symbol) classes are singletons, so the classes
-# that find_violation builds on first use are mostly one column long.
+# With q up to 40 most (row, symbol) classes are singletons.
 @settings(max_examples=200, deadline=None)
 @given(
     m=small_matrices(min_q=5, max_q=40),
