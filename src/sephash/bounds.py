@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -308,10 +309,28 @@ def johnson_recursive_bound(n_rows: int, q: int, weights) -> BoundResult:
     return _upper(value, PROV_JOHNSON, w, {"q": q, "weights": w.weights, "N": n_rows}, flags)
 
 
+def _log_miss(q: int, u: int) -> tuple[float, float]:
+    """g = all_distinct_probability(q, u) and ln(1 - g), both from exact integers.
+
+    ln(1 - g) = -ln(1 + hits/misses) with hits = perm(q, u) and misses =
+    q**u - hits; int true division is correctly rounded, so both stay
+    accurate where 1 - g is too small for a double (large q).  Needs u >= 2.
+    """
+    hits, total = math.perm(q, u), q**u
+    misses = total - hits
+    try:
+        return hits / total, -math.log1p(hits / misses)
+    except OverflowError:
+        # hits/misses is past the double range, where ln(1 + x) = ln(x):
+        # scale it into range by a power of two.
+        k = hits.bit_length() - misses.bit_length()
+        return 1.0, -math.log(hits / (misses << k)) - k * math.log(2)
+
+
 def _log_prob_lower(n_rows: int, q: int, w: SeparationType) -> tuple[float, float]:
     """g and the natural log of prob_lower_bound's value, finite at every N."""
-    g = float(all_distinct_probability(q, w.u))
-    return g, -w.u * math.log(2.0) - n_rows / (w.u - 1) * math.log1p(-g)
+    g, log_miss = _log_miss(q, w.u)
+    return g, -w.u * math.log(2.0) - n_rows / (w.u - 1) * log_miss
 
 
 def prob_lower_bound(n_rows: int, q: int, weights) -> BoundResult:
@@ -319,6 +338,8 @@ def prob_lower_bound(n_rows: int, q: int, weights) -> BoundResult:
 
     g is the all-distinct probability of u symbols; for q < u it vanishes
     and the bound degenerates to 2**-u.  This is a LOWER bound on capacity.
+    params["log_value"] is the natural log of the bound.  Past the double
+    range the value is the largest double, still a true lower bound.
     """
     w = normalize_weights(weights)
     if w.u < 2:
@@ -327,13 +348,11 @@ def prob_lower_bound(n_rows: int, q: int, weights) -> BoundResult:
     try:
         value = math.exp(log_value)
     except OverflowError:
-        raise ValueError(
-            f"probabilistic lower bound at N = {n_rows} is past the double range (1.8e308)"
-        ) from None
+        value = sys.float_info.max
     return BoundResult(
         value,
         PROV_PROB_LOWER,
-        {"q": q, "weights": w.weights, "N": n_rows, "g": g},
+        {"q": q, "weights": w.weights, "N": n_rows, "g": g, "log_value": log_value},
         (FLAG_LOWER, FLAG_REAL),
     )
 
@@ -342,7 +361,7 @@ def _power_or_inf(base: float, exponent: float) -> float:
     """base**exponent in doubles, INF past the double range.
 
     Only for upper bounds: INF is still a true upper bound, whereas a
-    lower bound must not saturate (prob_lower_bound raises instead).
+    lower bound saturates at the largest double (prob_lower_bound).
     """
     try:
         return base**exponent

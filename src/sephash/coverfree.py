@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .hypergraph import _vertex_masks
 from .matrix import Matrix, _certify
 from .verification import PreconditionError, _first_cover, find_violation
 
@@ -41,13 +40,12 @@ def is_cff(m: Matrix, w: int) -> tuple[int, tuple[int, ...]] | None:
     _require_binary(m)
     if w < 1:
         raise ValueError("w must be positive")
-    # The 1-entry of row r is bit 2r + 1 of a column's vertex mask.
-    masks = _vertex_masks(m.columns(), 2)
-    ones = sum(2 << (2 * r) for r in range(m.rows))
+    # masks[j]: bit r set iff member j holds element r.
+    masks = [sum(1 << r for r, e in enumerate(col) if e) for col in m.columns()]
     used = [False] * m.cols
     for a0 in range(m.cols):
         used[a0] = True
-        cover = _first_cover(masks, masks[a0] & ones, w, 0, used)
+        cover = _first_cover(masks, masks[a0], w, 0, used)
         if cover is not None:
             return (a0, cover)
         used[a0] = False
@@ -65,7 +63,7 @@ def cff_derived(m: Matrix, member: int, w: int) -> Matrix:
     if w < 2:
         raise PreconditionError("need w >= 2 so the derived order is positive")
     if not 0 <= member < m.cols:
-        raise IndexError(f"column {member} out of range")
+        raise PreconditionError(f"column {member} out of range [0, {m.cols})")
     if is_cff(m, w) is not None:
         raise PreconditionError("input is not w-cover-free")
     keep_rows = [i for i in range(m.rows) if m.entries[i][member] == 0]

@@ -14,13 +14,16 @@ find_rainbow_cycle is one depth-first walk over bitmasks: vertex (i, s) is
 bit i*width + (rank of s among part i's symbols) of an edge's vertex mask,
 and a vertex's incidence mask holds the edges through it.  Each path keeps
 the least part sequence for every set of parts its shared vertices can use.
+
+The vertex-bit layout is built only here: _cube gives the exact searches
+of sephash.search their candidate space from the same two builders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 from operator import or_
 
 from .matrix import Matrix, _certify
@@ -129,6 +132,21 @@ def _incidence(masks, size: int) -> list[int]:
         for v in _bits(mask):
             incidence[v] |= 1 << j
     return incidence
+
+
+def _cube(parts: int, q: int):
+    """Every point of range(q)**parts, in lexicographic order, with its masks.
+
+    The exact searches take these points as candidate columns or edges.
+    Returns (points, masks, agree): masks[j] is point j's vertex mask
+    (_vertex_masks), and agree[j][p] is the incidence mask of its vertex in
+    part p, the points that share point j's symbol there.
+    """
+    points = list(product(range(q), repeat=parts))
+    masks = _vertex_masks(points, q)
+    incidence = _incidence(masks, parts * q)
+    agree = [tuple(incidence[p * q + s] for p, s in enumerate(x)) for x in points]
+    return points, masks, agree
 
 
 def _bits(mask: int):

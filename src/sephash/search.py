@@ -1,32 +1,36 @@
 """Constructive lower-bound witnesses and exact small-instance search.
 
 Constructions self-certify: each output is re-checked before being
-returned, by the separation oracle or, for reed_solomon_frameproof, by the
-pairwise column agreement that proves {1, w}-separation, and a failed
-re-check raises CertificationError (an explicit raise, so it also runs
-under python -O).
+returned, by the separation oracle or by a linear-time sufficient
+condition (identity_construction: every column has a private row;
+reed_solomon_frameproof: pairwise column agreement), and a failed re-check
+raises CertificationError (an explicit raise, so it also runs under
+python -O).
+
+Both exact searches take their candidate space from hypergraph._cube: all
+q**N columns (or edges) in lexicographic order, each with its vertex mask
+and, per row (part), the bitmask of candidates sharing its symbol there.
 
 exact_capacity enumerates column sets in canonical form: per-row symbol
 relabeling maps some column of any family to the all-zero column, which is
 then the lexicographically smallest, so searching ascending column sets
 whose first member is all-zero covers every family up to relabeling.  The
-branch-and-bound kernel keeps the candidate list free of any column that
-would complete an unseparated tuple.  When a column joins, one pass over
-the "holed" tuples through it (sizes W with one part one short) builds a
-forbidden-column bitmask: rows where two parts of a holed tuple share a
-symbol (read off the columns' vertex masks, hypergraph._vertex_masks) are
-bad, and the columns that show, in every other row, a symbol of some
-member outside the short part (read off the incidence index,
-hypergraph._incidence) are exactly those that complete it into a
-violation.  The surviving candidates are those whose bit is clear.
+branch-and-bound kernel carries its candidates as one bitmask, free of any
+column that would complete an unseparated tuple.  When a column joins, one
+pass over the "holed" tuples through it (sizes W with one part one short)
+clears every candidate that completes one: rows where two parts of a holed
+tuple share a symbol (read off the columns' vertex masks) are bad, and the
+columns that show, in every other row, a symbol of some member outside
+the short part (the OR of those members' agreement masks) are exactly
+those that complete it into a violation.
 
 rainbow_free_extremal_search adds candidate edges in lexicographic order.
 Each edge carries a vertex bitmask and a covered-pair bitmask (one bit per
 vertex pair in distinct parts); the OR of the chosen edges' pair masks
 rejects a candidate sharing two vertices with one of them in a single AND.
 A linear candidate is then tested only for cycles through itself: a path
-from it back to itself over chosen edges, grown through per-vertex
-incidence masks, whose shared vertices use distinct parts.
+from it back to itself over chosen edges, grown through the agreement
+masks of the last edge, whose shared vertices use distinct parts.
 """
 
 from __future__ import annotations
@@ -34,15 +38,15 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .bounds import all_distinct_probability
+from .bounds import _log_miss
 from .hypergraph import (
     PartiteHypergraph,
     _bits,
-    _incidence,
-    _vertex_masks,
+    _cube,
     find_rainbow_cycle,
     is_linear_hypergraph,
 )
@@ -62,12 +66,25 @@ _DEFAULT_NODE_BUDGET = 5_000_000
 _DEFAULT_RAINBOW_FREE_BUDGET = 200_000
 
 
+def _has_private_rows(m: Matrix) -> bool:
+    """True iff each column shows, in some row, a symbol no other column shows.
+
+    That row separates the column from every set of other columns, so the
+    matrix is {1, w}-separating for every w.  O(N*n).
+    """
+    private = set()
+    for row in m.entries:
+        counts = Counter(row)
+        private.update(j for j, s in enumerate(row) if counts[s] == 1)
+    return len(private) == m.cols
+
+
 def identity_construction(n_rows: int, w: int) -> Matrix:
     """N x N binary identity matrix, a verified SHF(N; N, 2, {1, w}).
 
     The row owned by a column shows 1 there and 0 on every other column, so
-    singletons are always separated from any w-set.  Requires w <= N - 1 so
-    the type is non-vacuous.
+    singletons are always separated from any w-set; that private row is the
+    certificate.  Requires w <= N - 1 so the type is non-vacuous.
     """
     if n_rows < 2:
         raise PreconditionError("need at least 2 rows")
@@ -77,9 +94,7 @@ def identity_construction(n_rows: int, w: int) -> Matrix:
         tuple(tuple(1 if i == j else 0 for j in range(n_rows)) for i in range(n_rows)),
         2,
     )
-    _certify(
-        find_violation(m, [1, w]) is None, f"identity matrix is {{1, {w}}}-separating"
-    )
+    _certify(_has_private_rows(m), f"every column has a private row (proves {{1, {w}}})")
     return m
 
 
@@ -196,11 +211,9 @@ class _CapacitySearch:
         self.u = sum(self.weights)
         self.node_budget = node_budget
         self.nodes = 0
-        self.columns = list(product(range(q), repeat=n_rows))
         # masks[j]: bit r*q + s set iff column j shows symbol s in row r.
-        # incidence[r*q + s]: the columns that show symbol s in row r.
-        self.masks = _vertex_masks(self.columns, q)
-        self.incidence = _incidence(self.masks, n_rows * q)
+        # agree[j][r]: the columns that show column j's symbol in row r.
+        self.columns, self.masks, self.agree = _cube(n_rows, q)
         self._layouts = self._holed_layouts()
         self.best: list[int] = []
         self.exhausted = True
@@ -234,21 +247,20 @@ class _CapacitySearch:
     def _survivors(self, chosen, cand):
         """The candidates that complete no unseparated tuple with `chosen`.
 
-        Only tuples through both chosen[-1] and the candidate are examined;
-        the rest were vetted one level up.  Such a tuple minus the candidate
-        is a "holed" tuple from `chosen`: sizes W with one part (the hole)
-        one short.  A candidate is forbidden if, in every row where no two
-        parts share a symbol, it shares one with a member outside the hole.
+        cand and the result are bitmasks of column indices.  Only tuples
+        through both chosen[-1] and the candidate are examined; the rest
+        were vetted one level up.  Such a tuple minus the candidate is a
+        "holed" tuple from `chosen`: sizes W with one part (the hole) one
+        short.  A candidate is forbidden if, in every row where no two parts
+        share a symbol, it shares one with a member outside the hole.
         """
         if len(chosen) < self.u - 1 or not cand:
             return cand
         col = chosen[-1]
         q, n_rows = self.q, self.n_rows
-        columns, masks, incidence = self.columns, self.masks, self.incidence
+        masks, agree = self.masks, self.agree
         sym_mask = (1 << q) - 1
-        allowed = 0
-        for d in cand:
-            allowed |= 1 << d
+        allowed = cand
 
         def rec(slots, k, prev, bad, seen, outside, avail):
             nonlocal allowed
@@ -257,9 +269,8 @@ class _CapacitySearch:
                 for r in range(n_rows):
                     if not bad >> r & 1:
                         row_syms = 0
-                        base = r * q
                         for y in outside:
-                            row_syms |= incidence[base + columns[y][r]]
+                            row_syms |= agree[y][r]
                         forbidden &= row_syms
                         if not forbidden:
                             return
@@ -288,27 +299,25 @@ class _CapacitySearch:
         for slots in self._layouts:
             rec(slots, 0, (), 0, 0, (), chosen[:-1])
             if not allowed:
-                return []
-        return [d for d in cand if allowed >> d & 1]
-
-    def run(self):
-        # Canonical: the all-zero column is index 0.  No root filter: a lone
-        # column and a candidate are unseparated only if u = 2 and equal.
-        self._dfs([0], list(range(1, len(self.columns))))
+                break
+        return allowed
 
     def _dfs(self, chosen, cand):
         if len(chosen) > len(self.best):
             self.best = chosen
-        for idx, col in enumerate(cand):
-            if len(chosen) + (len(cand) - idx) <= len(self.best):
+        left = cand.bit_count()
+        for col in _bits(cand):
+            if len(chosen) + left <= len(self.best):
                 return
+            left -= 1
             self.nodes += 1
             if self.nodes >= self.node_budget:
                 self.exhausted = False
                 return
             # col passed the filter as each chosen column joined: no recheck.
+            cand ^= 1 << col  # now the candidates after col
             grown = chosen + [col]
-            self._dfs(grown, self._survivors(grown, cand[idx + 1 :]))
+            self._dfs(grown, self._survivors(grown, cand))
 
 
 def exact_capacity(
@@ -337,7 +346,9 @@ def exact_capacity(
         raise ValueError("need node_budget >= 1")
     start = time.perf_counter()
     searcher = _CapacitySearch(n_rows, q, w, node_budget)
-    searcher.run()
+    # Canonical: the all-zero column is index 0.  No root filter: a lone
+    # column and a candidate are unseparated only if u = 2 and equal.
+    searcher._dfs([0], (1 << len(searcher.columns)) - 2)
     elapsed = time.perf_counter() - start
     # Fewer than u-1 distinct columns exist, or the budget tripped first:
     # u-1 copies of column 0 (all-zero) still have no tuple to violate.
@@ -380,10 +391,8 @@ def random_shf_alteration(
         raise ValueError("need trials >= 1")
     u = w.u
     # log of the optimum (u * (1-g)**N)**(-1/(u-1)), as (1-g)**N can underflow
-    # to 0.0; g = 0 makes it negative, so 2u wins.  g rounds to 1.0 for q past
-    # about 10**16, where the largest double below 1 stands in for it.
-    g = min(float(all_distinct_probability(q, u)), math.nextafter(1.0, 0.0))
-    log_pool = -(math.log(u) + n_rows * math.log1p(-g)) / (u - 1)
+    # to 0.0; g = 0 makes it negative, so 2u wins.
+    log_pool = -(math.log(u) + n_rows * _log_miss(q, u)[1]) / (u - 1)
     m_init = min(max(2 * u, math.ceil(math.exp(min(log_pool, math.log(4096))))), 4096)
 
     best: Matrix | None = None
@@ -434,12 +443,12 @@ class RainbowFreeResult:
 class _RainbowFreeSearch:
     """Subset search over candidate edges with bitmask linearity and cycle tests.
 
-    Vertex masks follow hypergraph._vertex_masks, where vertex (i, s) is bit
-    i*q + s, and incidence[v] (hypergraph._incidence) holds the candidates
-    through v.  The chosen edges are a bitmask of candidate indices.  Each
-    vertex pair in distinct parts owns one bit of the pair masks, so two
-    edges share two vertices iff their pair masks meet, and a candidate is
-    linear with the chosen edges iff its pair mask misses the OR of theirs.
+    Vertex masks and edges_at come from hypergraph._cube: edges_at[c][p]
+    holds the candidates through candidate c's vertex in part p.  The
+    chosen edges are a bitmask of candidate indices.  Each vertex pair in
+    distinct parts owns one bit of the pair masks, so two edges share two
+    vertices iff their pair masks meet, and a candidate is linear with the
+    chosen edges iff its pair mask misses the OR of theirs.
     """
 
     def __init__(self, parts, part_size, ks, node_budget):
@@ -449,11 +458,9 @@ class _RainbowFreeSearch:
         self.node_budget = node_budget
         self.nodes = 0
         self.certified = True
-        self.candidates = list(product(range(part_size), repeat=parts))
+        self.candidates, self.vertex_mask, self.edges_at = _cube(parts, part_size)
         part_pairs = list(combinations(range(parts), 2))
         q = part_size
-        self.vertex_mask = _vertex_masks(self.candidates, q)
-        self.incidence = _incidence(self.vertex_mask, parts * q)
         self.pair_mask = [
             sum(1 << ((n * q + e[i]) * q + e[j]) for n, (i, j) in enumerate(part_pairs))
             for e in self.candidates
@@ -472,7 +479,7 @@ class _RainbowFreeSearch:
         """
         parts, q, ks = self.parts, self.q, self.ks
         k_max = ks[-1]
-        candidates, incidence = self.candidates, self.incidence
+        edges_at = self.edges_at
         vertex_mask, new_mask = self.vertex_mask, self.vertex_mask[c]
 
         def walk(edge, length, used_parts, avail):
@@ -482,7 +489,7 @@ class _RainbowFreeSearch:
                 if used_parts >> p & 1:
                     continue
                 used = used_parts | 1 << p
-                nxt = incidence[p * q + edge[p]] & avail
+                nxt = edges_at[edge][p] & avail
                 while nxt:
                     low = nxt & -nxt
                     nxt ^= low
@@ -491,16 +498,11 @@ class _RainbowFreeSearch:
                         shared = vertex_mask[e] & new_mask
                         if shared and not used >> ((shared.bit_length() - 1) // q) & 1:
                             return True
-                    if length + 1 < k_max and walk(
-                        candidates[e], length + 1, used, avail ^ low
-                    ):
+                    if length + 1 < k_max and walk(e, length + 1, used, avail ^ low):
                         return True
             return False
 
-        return walk(candidates[c], 1, 0, chosen)
-
-    def run(self):
-        self._dfs(0, 0, 0, 0)
+        return walk(c, 1, 0, chosen)
 
     def _dfs(self, start, size, chosen, covered):
         if size > len(self.best):
@@ -549,7 +551,7 @@ def rainbow_free_extremal_search(
     if node_budget < 1:
         raise ValueError("need node_budget >= 1")
     searcher = _RainbowFreeSearch(parts, part_size, tuple(ks), node_budget)
-    searcher.run()
+    searcher._dfs(0, 0, 0, 0)
     h = PartiteHypergraph(parts, part_size, tuple(searcher.best))
     _certify(is_linear_hypergraph(h), "hypergraph is linear")
     for k in ks:

@@ -3,6 +3,8 @@
 import json
 import math
 import random
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
@@ -23,6 +25,7 @@ from sephash.bounds import (
     PROV_SMALL_ALPHABET,
     _ascend,
     _johnson_value,
+    _log_miss,
     _rate_forward,
     _rate_grad,
     all_distinct_probability,
@@ -242,9 +245,44 @@ class TestProbLower:
         # q < u: distinct-symbol probability is zero, bound collapses to 2**-u.
         assert prob_lower_bound(4, 3, [2, 2]).value == pytest.approx(2.0**-4)
 
-    def test_past_double_range_is_a_value_error(self):
-        with pytest.raises(ValueError, match="double range"):
-            prob_lower_bound(5000, 4, [1, 2])
+    def test_past_double_range_saturates_at_float_max(self):
+        # The exact value is larger still, so the largest double is a true
+        # lower bound; its natural log is kept in params.
+        b = prob_lower_bound(5000, 4, [1, 2])
+        assert b.value == sys.float_info.max
+        log_value = -3 * math.log(2) - 2500 * math.log(Fraction(5, 8))
+        assert b.params["log_value"] == pytest.approx(log_value, rel=1e-12)
+
+    def test_log_value_matches_value(self):
+        b = prob_lower_bound(4, 9, [2, 2])
+        assert b.params["log_value"] == pytest.approx(math.log(b.value), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "n_rows, q, weights",
+        [(1, 10**17, (1, 1)), (3, 10**17, (1, 2)), (2, 2**60, (2, 2)), (2, 10**400, (1, 1))],
+    )
+    def test_g_rounding_to_one_is_answered(self, n_rows, q, weights):
+        # float(g) is 1.0 here; ln(1 - g) still comes from exact integers.
+        lower = prob_lower_bound(n_rows, q, weights)
+        assert lower.params["g"] == 1.0
+        assert 0 < lower.value <= best_upper_bound(n_rows, q, weights).value
+
+    def test_log_miss_at_large_q(self):
+        # 1 - g = 6/10**17 - 11/10**34 + 6/10**51 at q = 10**17, u = 4.
+        _, log_miss = _log_miss(10**17, 4)
+        assert log_miss == pytest.approx(math.log(6e-17), rel=1e-15)
+
+    def test_log_miss_matches_decimal_reference(self):
+        for q in [*range(1, 61), *(10**k for k in range(2, 20)), 10**200, 10**400]:
+            for u in range(2, 31):
+                hits, total = math.perm(q, u), q**u
+                g, log_miss = _log_miss(q, u)
+                with localcontext() as ctx:
+                    ctx.prec = 50
+                    ref_g = Decimal(hits) / Decimal(total)
+                    ref_log = (Decimal(total - hits) / Decimal(total)).ln()
+                assert abs(Decimal(g) - ref_g) <= Decimal("1e-15") * ref_g
+                assert abs(Decimal(log_miss) - ref_log) <= Decimal("1e-15") * abs(ref_log)
 
     def test_secure_frameproof_point(self):
         got = prob_lower_bound(4, 9, [2, 2]).value
@@ -432,6 +470,12 @@ class TestSimplexOptimizer:
     def test_constant_objective_is_exactly_one(self):
         assert max_separation_rate([1, 2]).value == 1.0
 
+    def test_zero_gradient_stops_every_start_at_once(self):
+        # {1,1}: perm of the all-ones 2x2 matrix is 2! everywhere.
+        r = max_separation_rate([1, 1])
+        assert r.value == 2.0 and r.converged
+        assert r.iterations == r.starts
+
     def test_triple_equal_weights(self):
         r = max_separation_rate([2, 2, 2])
         assert r.value == pytest.approx(2 / 9, abs=1e-9)
@@ -573,8 +617,9 @@ class TestBestUpper:
     @pytest.mark.parametrize("n_rows, q, weights", [(5000, 4, (1, 2)), (3000, 3, (1, 1))])
     def test_answers_where_the_lower_bound_is_past_double_range(self, n_rows, q, weights):
         # The winner is checked against the lower bound in logarithms.
-        with pytest.raises(ValueError, match="double range"):
-            prob_lower_bound(n_rows, q, weights)
+        lower = prob_lower_bound(n_rows, q, weights)
+        assert lower.value == sys.float_info.max
+        assert lower.params["log_value"] > math.log(sys.float_info.max)
         b = best_upper_bound(n_rows, q, weights)
         assert b.provenance == PROV_JOHNSON and b.flags == ()
         assert b.value == johnson_recursive_bound(n_rows, q, weights).value

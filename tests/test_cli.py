@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -183,9 +184,25 @@ class TestBounds:
         code, _ = run(["bounds", "1" * 5000, "3", "1,1"])
         assert code == 2
 
-    def test_lower_past_double_range_exits_2(self):
-        code, _ = run(["bounds", "5000", "4", "1,2", "--lower"])
-        assert code == 2
+    def test_lower_past_double_range_exits_0(self):
+        # The probabilistic lower bound saturates at the largest double and
+        # carries its natural log; every upper bound is still listed.
+        code, out = run(["bounds", "5000", "4", "1,2", "--lower"])
+        assert code == 0
+        _, upper = run(["bounds", "5000", "4", "1,2"])
+        lower = {b["provenance"]: b for b in out if "lower-bound" in b["flags"]}
+        assert set(lower) == {"probabilistic-lower", "vacuous-columns"}
+        prob = lower["probabilistic-lower"]
+        assert prob["value"] == sys.float_info.max
+        assert prob["params"]["log_value"] > math.log(sys.float_info.max)
+        assert [b for b in out if "lower-bound" not in b["flags"]] == upper
+
+    @pytest.mark.parametrize("q", ["100000000000000000", str(2**60)])
+    def test_lower_where_g_rounds_to_one_exits_0(self, q):
+        code, out = run(["bounds", "1", q, "1,1", "--lower"])
+        assert code == 0
+        prob = [b for b in out if b["provenance"] == "probabilistic-lower"][0]
+        assert 0 < prob["value"] <= int(q)
 
     @pytest.mark.parametrize("argv", [["4", "0", "2,2"], ["4", "-1", "1,2"]])
     def test_alphabet_below_one_exits_2(self, argv):
@@ -284,6 +301,19 @@ class TestConstruct:
         assert code == 0
         assert out["certified"] is True and out["edge_count"] == 2
 
+    def test_rainbowfree_out_writes_the_edges_as_columns(self, corpus):
+        path = corpus["tmp"] + "/rf.txt"
+        code, out = run(["construct", "rainbowfree", "3", "3", "--k", "3", "--out", path])
+        assert code == 0
+        m = parse_matrix(Path(path).read_text())
+        assert (m.rows, m.cols, m.q) == (3, out["edge_count"], 3)
+        assert [list(c) for c in m.columns()] == out["edges"]
+
+    def test_identity_without_out_writes_stdout(self):
+        code, out = run(["construct", "identity", "3", "1"])
+        assert code == 0
+        assert out == "3 3 2\n1 0 0\n0 1 0\n0 0 1\n"
+
     def test_identity_bad_w_exit_2(self):
         code, _ = run(["construct", "identity", "3", "3"])
         assert code == 2
@@ -316,6 +346,11 @@ class TestConvert:
         )
         assert code == 0
         assert parse_matrix(Path(path).read_text()).cols == 3
+
+    def test_derive_column_out_of_range_exits_2(self, corpus, capsys):
+        code, _ = run(["convert", corpus["identity4.txt"], "--derive", "5", "--w", "2"])
+        assert code == 2
+        assert "error: column 5 out of range [0, 4)" in capsys.readouterr().err
 
     def test_derive_without_w_exits_2(self, corpus, capsys):
         code, _ = run(["convert", corpus["identity4.txt"], "--derive", "0"])

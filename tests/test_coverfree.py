@@ -104,6 +104,11 @@ class TestDerived:
         with pytest.raises(PreconditionError):
             cff_derived(bad, 0, 2)
 
+    @pytest.mark.parametrize("member", [3, 5, -1])
+    def test_member_out_of_range_is_a_precondition_error(self, member):
+        with pytest.raises(PreconditionError, match=f"column {member} out of range"):
+            cff_derived(identity(3), member, 2)
+
 
 class TestShfCrossChecks:
     def test_identity_forward(self):

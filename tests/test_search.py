@@ -99,6 +99,13 @@ class TestIdentityConstruction:
         with pytest.raises(PreconditionError):
             identity_construction(3, 3)
 
+    def test_large_w_certifies_in_linear_time(self):
+        # The oracle check of {1, 20} over 40 columns would not finish.
+        m = identity_construction(40, 20)
+        assert m.entries == tuple(
+            tuple(int(i == j) for j in range(40)) for i in range(40)
+        )
+
 
 class TestReedSolomon:
     def test_3_3_2(self):
@@ -439,6 +446,24 @@ class TestCertification:
         )
         with pytest.raises(CertificationError):
             reed_solomon_frameproof(5, 4, 2)
+
+    def test_rejected_identity_private_rows_raise(self, monkeypatch):
+        monkeypatch.setattr("sephash.search._has_private_rows", lambda m: False)
+        with pytest.raises(CertificationError, match="private row"):
+            identity_construction(4, 3)
+
+    def test_rejected_identity_private_rows_raise_under_optimize(self):
+        script = (
+            "import sys\n"
+            "import sephash.search as s\n"
+            "s._has_private_rows = lambda m: False\n"
+            "try:\n"
+            "    s.identity_construction(4, 3)\n"
+            "except s.CertificationError:\n"
+            "    sys.exit(0 if sys.flags.optimize else 3)\n"
+            "sys.exit(1)\n"
+        )
+        assert _run_optimized(script) == 0
 
     def test_rejected_capacity_witness_raises_under_optimize(self):
         script = (
