@@ -1,11 +1,11 @@
 """Constructive lower-bound witnesses and exact small-instance search.
 
 Constructions self-certify: each output is re-checked before being
-returned, by the separation oracle or by a linear-time sufficient
-condition (identity_construction: every column has a private row;
-reed_solomon_frameproof: pairwise column agreement), and a failed re-check
-raises CertificationError (an explicit raise, so it also runs under
-python -O).
+returned, by the separation oracle (whose distance certificate settles
+reed_solomon_frameproof's codes from pairwise column agreement alone) or
+by a linear-time sufficient condition (identity_construction: every
+column has a private row), and a failed re-check raises
+CertificationError (an explicit raise, so it also runs under python -O).
 
 Both exact searches take their candidate space from hypergraph._cube: all
 q**N columns (or edges) in lexicographic order, each with its vertex mask
@@ -59,7 +59,7 @@ from .matrix import (
     normalize_weights,
     write_matrix,
 )
-from .verification import PreconditionError, _first_nonlinear_pair, find_violation
+from .verification import PreconditionError, find_violation
 
 _DEFAULT_NODE_BUDGET = 5_000_000
 
@@ -116,8 +116,9 @@ def reed_solomon_frameproof(q: int, n_rows: int, w: int) -> Matrix:
     points 0..N-1, with k = ceil(N / w).  Two distinct columns agree in at
     most a = k - 1 = (N - 1) // w positions, so a column collides with w
     others in at most a*w < N rows and some row separates it from all of
-    them.  The returned code is certified by that argument: no column pair
-    may agree in more than a rows, which is checked directly.
+    them.  The returned code is certified by find_violation, whose distance
+    certificate is that argument: no column pair may agree in more than
+    a rows.
     """
     if not _is_prime(q):
         raise PreconditionError(f"{q} is not prime; only prime fields are supported")
@@ -137,11 +138,7 @@ def reed_solomon_frameproof(q: int, n_rows: int, w: int) -> Matrix:
             col.append(val)
         columns.append(tuple(col))
     m = Matrix(tuple(zip(*columns)), q)
-    a = (n_rows - 1) // w
-    _certify(
-        _first_nonlinear_pair(columns, a) is None,
-        f"no two columns agree in more than {a} rows (a*w < N proves {{1, {w}}})",
-    )
+    _certify(find_violation(m, (1, w)) is None, f"code is {{1, {w}}}-separating")
     return m
 
 

@@ -2,9 +2,12 @@
 
 A matrix is {w1,...,wt}-separating when every choice of pairwise disjoint
 column sets C1,...,Ct with |Ci| = wi admits a row on which the symbol sets
-of the parts are pairwise disjoint.  find_violation decides this exactly,
-in one pass over the part tuples that carries the OR of the rows left
-unseparated, and returns a reproducible certificate when the property fails.
+of the parts are pairwise disjoint.  find_violation decides this exactly.
+It first tries the distance certificate (no two columns agree in more than
+(N-1) // sum_{i<j} wi*wj rows), which proves separation without looking at
+a part tuple.  Otherwise one pass over the part tuples, carrying the OR of
+the rows left unseparated, decides it and returns a reproducible
+certificate when the property fails.
 
 Everything here is pure and operates on immutable matrices; calls are safe
 to run concurrently.
@@ -105,6 +108,19 @@ def find_violation(m: Matrix, weights) -> ViolationWitness | None:
     lexicographic order, and equal-size neighbours ascending by smallest
     member.  Matrices with fewer than u columns are vacuously separating.
 
+    Distance certificate (cf. Stinson, Wei and Chen, "On generalized
+    separating hash families", JCTA 2008), tried before any tuple: a row is
+    unseparated for a tuple exactly where two columns from different parts
+    agree, and a tuple has pairs = sum_{i<j} wi*wj such cross-part column
+    pairs.  If no two columns agree in more than limit = (N-1) // pairs
+    rows, every tuple has at most pairs*limit < N unseparated rows, so the
+    matrix separates (a one-part type has no cross-part pair and always
+    separates).  The scan takes columns x in ascending order and stops at
+    the first later column that agrees with x in more than limit rows; on
+    failing inputs that is usually x = 0, whose agreement row the search
+    builds first anyway.  Only the search below produces witnesses, so a
+    certified input gets the same None the search would have returned.
+
     One depth-first pass carries bad, the rows already unseparated, and
     reach[z], the OR of completed parts' agreement rows with z; the last
     part is the first free combination whose reach covers the rows not yet
@@ -116,6 +132,9 @@ def find_violation(m: Matrix, weights) -> ViolationWitness | None:
     # The search would also find nothing, but only after trying every way
     # to fill the leading parts, a count exponential in the column count.
     if n < sum(sizes):
+        return None
+    pairs = sum(a * b for a, b in combinations(sizes, 2))
+    if not pairs:
         return None
     full = (1 << m.rows) - 1
     classes: list[dict[int, list[int]]] = [{} for _ in m.entries]
@@ -131,6 +150,14 @@ def find_violation(m: Matrix, weights) -> ViolationWitness | None:
                 for z in by_symbol[row[x]]:
                     got[z] |= 1 << r
         return agreement[x]
+
+    # The distance certificate: stop at the first pair over the limit.
+    limit = (m.rows - 1) // pairs
+    for x in range(n - 1):
+        if any(map(limit.__lt__, map(int.bit_count, agreement_row(x)[x + 1:]))):
+            break
+    else:
+        return None
 
     used = [False] * n
     parts: list[list[int]] = [[] for _ in sizes]
@@ -167,11 +194,11 @@ def find_violation(m: Matrix, weights) -> ViolationWitness | None:
     return None
 
 
-def _first_nonlinear_pair(columns, limit: int = 1) -> tuple[int, int, int] | None:
-    """First (i, j, agreements), i < j lexicographic, with agreements > limit."""
+def _first_nonlinear_pair(columns) -> tuple[int, int, int] | None:
+    """First (i, j, agreements), i < j lexicographic, with agreements > 1."""
     for (i, a), (j, b) in combinations(enumerate(columns), 2):
         agreements = sum(map(eq, a, b))
-        if agreements > limit:
+        if agreements > 1:
             return i, j, agreements
     return None
 

@@ -321,6 +321,14 @@ class TestAlteration:
         monkeypatch.setattr("sephash.search.find_violation", lambda m, w: None)
         assert random_shf_alteration(n_rows, q, weights, seed=0).cols == pool
 
+    def test_full_pool_of_distinct_one_row_columns(self):
+        # 4,096 distinct one-row columns: no two agree, so the oracle's
+        # distance certificate accepts the whole pool at once instead of
+        # walking its part tuples.
+        m = random_shf_alteration(1, 10**20, [2, 2], seed=0)
+        assert m.cols == 4096
+        assert find_violation(m, [2, 2]) is None
+
 
 class TestRainbowFreeSearch:
     def test_triangle_free_max(self):
@@ -442,7 +450,8 @@ class TestCertification:
 
     def test_rejected_reed_solomon_agreement_raises(self, monkeypatch):
         monkeypatch.setattr(
-            "sephash.search._first_nonlinear_pair", lambda columns, limit=1: (0, 1, limit + 1)
+            "sephash.search.find_violation",
+            lambda m, w: ViolationWitness(((0,), (1, 2))),
         )
         with pytest.raises(CertificationError):
             reed_solomon_frameproof(5, 4, 2)
@@ -483,7 +492,8 @@ class TestCertification:
         script = (
             "import sys\n"
             "import sephash.search as s\n"
-            "s._first_nonlinear_pair = lambda columns, limit=1: (0, 1, limit + 1)\n"
+            "from sephash.verification import ViolationWitness\n"
+            "s.find_violation = lambda m, w: ViolationWitness(((0,), (1, 2)))\n"
             "try:\n"
             "    s.reed_solomon_frameproof(5, 4, 2)\n"
             "except s.CertificationError:\n"

@@ -87,6 +87,27 @@ class TestFindViolation:
         monkeypatch.setattr(verification, "_first_cover", search_ran)
         assert find_violation(Matrix(((0,) * 13,), 2), [2] * 7) is None
 
+    # P*A = sum_{i<j} wi*wj times the most rows two columns agree in.
+    @pytest.mark.parametrize(
+        "code,weights",
+        [((5, 5, 2), (1, 2)), ((5, 5, 3), (2, 2)), ((7, 4, 2), (1, 1, 1))],
+        ids=["RS(5,5,2) {1,2} P*A=N-1", "RS(5,5,3) {2,2}", "RS(7,4,2) {1,1,1}"],
+    )
+    def test_distance_certificate_skips_the_search(self, monkeypatch, code, weights):
+        def search_ran(*args):
+            raise AssertionError("the search ran on a certified input")
+
+        m = reed_solomon_frameproof(*code)
+        monkeypatch.setattr(verification, "_first_cover", search_ran)
+        assert find_violation(m, weights) is None
+
+    def test_one_part_type_is_vacuous(self, monkeypatch):
+        def search_ran(*args):
+            raise AssertionError("the search ran on a one-part type")
+
+        monkeypatch.setattr(verification, "_first_cover", search_ran)
+        assert find_violation(Matrix(((0, 0, 0), (1, 1, 1)), 2), [2]) is None
+
     def test_witness_sound(self, chain4):
         w = find_violation(chain4, [2, 2])
         for f in range(chain4.rows):
@@ -144,6 +165,7 @@ PINNED_WITNESSES = [
     ("RS(5,5,2) late collision", late_collision_rs552, (1, 2), ((20,), (1, 124))),
     ("cyclic overlap 6x6 q=5", lambda: cyclic_overlap_matrix(6, 5), (3, 3), ((0, 2, 4), (1, 3, 5))),
     ("RS(5,3,2)", lambda: reed_solomon_frameproof(5, 3, 2), (2, 2), ((0, 1), (2, 14))),
+    # P*A = 3*1 = N, one short of the distance certificate: the search decides.
     ("RS(5,3,2)", lambda: reed_solomon_frameproof(5, 3, 2), (1, 1, 1), ((0,), (1,), (14,))),
     ("RS(5,5,3)", lambda: reed_solomon_frameproof(5, 5, 3), (1, 1, 2), ((0,), (1,), (7, 9))),
     ("RS(7,4,2)", lambda: reed_solomon_frameproof(7, 4, 2), (1, 3), None),
@@ -175,6 +197,11 @@ def small_matrices(draw, min_q=1, max_q=4):
 @example(m=Matrix(((0, 0, 0),), 1), weights=(2, 2))
 @example(m=Matrix(((0, 0, 0, 0), (0, 0, 0, 0)), 1), weights=(1, 1, 2))
 @example(m=Matrix(((), ()), 2), weights=(1, 1))
+# Distance-certificate boundaries: P*A = N-1 is certified, P*A = N is not.
+@example(m=Matrix(((0, 1, 1), (0, 0, 1)), 2), weights=(1, 1))
+@example(m=Matrix(((0, 0, 1), (0, 1, 0)), 2), weights=(1, 2))
+@example(m=Matrix(((0, 0, 1, 2), (0, 1, 2, 2)), 3), weights=(1, 2))
+@example(m=cyclic_overlap_matrix(4, 3), weights=(2, 2))
 def test_find_violation_matches_reference_witness(m, weights):
     assert find_violation(m, weights) == reference_find_violation(m, weights)
 
@@ -187,6 +214,11 @@ def test_find_violation_matches_reference_witness(m, weights):
 )
 @example(m=Matrix(((0, 1, 2, 3, 4, 0), (39, 38, 37, 36, 35, 39)), 40), weights=(1, 1))
 @example(m=Matrix(((0, 1, 2, 3), (7, 7, 8, 9), (10, 11, 10, 12)), 13), weights=(2, 2))
+# The first six columns of RS(5,5,3): P*A = 4*1 = N-1, certified.
+@example(
+    m=Matrix(tuple(r[:6] for r in reed_solomon_frameproof(5, 5, 3).entries), 5),
+    weights=(2, 2),
+)
 def test_find_violation_matches_reference_witness_large_alphabet(m, weights):
     assert find_violation(m, weights) == reference_find_violation(m, weights)
 
