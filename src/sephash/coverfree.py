@@ -19,9 +19,8 @@ from .matrix import Matrix, _certify
 from .verification import PreconditionError, _first_cover, find_violation
 
 # Quadratic growth coefficient for the cover-free threshold lower bound,
-# evaluated in double precision; comparisons against it use a 1e-9 guard.
+# evaluated in double precision (frameproof_threshold_bounds floors it exactly).
 QUADRATIC_COEFF = (15 + math.sqrt(33)) / 24
-_GUARD = 1e-9
 
 
 def _require_binary(m: Matrix) -> None:
@@ -142,14 +141,15 @@ def frameproof_threshold_bounds(w: int) -> ThresholdBounds:
     The integer lower bound is the best of three pieces: the quadratic
     cover-free transfer on (w-2)^2, the strict pair-count bound
     C(w+1, 2) < N, and the linear floor 3w.  The cover-free transfer is a
-    non-strict >= on an irrational value, so its integer form is floor + 1.
+    non-strict >= on an irrational value, so its integer form is floor + 1,
+    computed exactly as (15*m^2 + isqrt(33*m^4)) // 24 + 1 with m = w-2.
     The sandwich reports the symbolic two-sided relation to the cover-free
     thresholds at orders w-2 and w.
     """
     if w < 3:
         raise ValueError("w must be at least 3")
-    quad = cover_free_threshold_lower(w - 2)
-    quad_int = int(math.floor(quad + _GUARD)) + 1
+    sq = (w - 2) ** 2
+    quad_int = (15 * sq + math.isqrt(33 * sq * sq)) // 24 + 1
     pairs_int = math.comb(w + 1, 2) + 1
     linear_int = 3 * w
     lower = max(quad_int, pairs_int, linear_int)

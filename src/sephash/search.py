@@ -6,6 +6,8 @@ reed_solomon_frameproof's codes from pairwise column agreement alone) or
 by a linear-time sufficient condition (identity_construction: every
 column has a private row), and a failed re-check raises
 CertificationError (an explicit raise, so it also runs under python -O).
+random_shf_alteration prunes until the oracle accepts and returns the
+matrix that last call accepted, with no second call.
 
 Both exact searches take their candidate space from hypergraph._cube: all
 q**N columns (or edges) in lexicographic order, each with its vertex mask
@@ -99,14 +101,7 @@ def identity_construction(n_rows: int, w: int) -> Matrix:
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def reed_solomon_frameproof(q: int, n_rows: int, w: int) -> Matrix:
@@ -370,8 +365,8 @@ def random_shf_alteration(
     """Random construction with deletion: sample columns, prune violations.
 
     Starts from an expectation-optimal number of random columns (at least
-    2u, at most 4096), then repeatedly asks the oracle for a violation and
-    deletes that witness's highest column until none remains.
+    2u, at most 4096), then deletes each violation's highest column until
+    the oracle accepts; that last call certifies the returned matrix.
     Deterministic for a fixed seed; with trials > 1 the largest verified
     family over per-trial seeds is returned.
     """
@@ -398,16 +393,14 @@ def random_shf_alteration(
         cols = [
             tuple(rng.randrange(q) for _ in range(n_rows)) for _ in range(m_init)
         ]
-        # Deleting a column per violation only removes tuples, so the loop
-        # monotonically shrinks to a verified family (never below u-1).
-        while len(cols) >= u:
-            witness = find_violation(Matrix(tuple(zip(*cols)), q), w)
+        # Each deletion only removes tuples.  The oracle accepts below u
+        # columns and a witness has u, so cols never drops below u-1.
+        while True:
+            result = Matrix(tuple(zip(*cols)), q)
+            witness = find_violation(result, w)
             if witness is None:
                 break
-            victim = max(c for part in witness.parts for c in part)
-            cols.pop(victim)
-        result = Matrix(tuple(zip(*cols)), q)
-        _certify(find_violation(result, w) is None, f"altered family is {w}-separating")
+            cols.pop(max(c for part in witness.parts for c in part))
         if best is None or result.cols > best.cols:
             best = result
     return best

@@ -118,7 +118,8 @@ def find_violation(m: Matrix, weights) -> ViolationWitness | None:
     separates).  The scan takes columns x in ascending order and stops at
     the first later column that agrees with x in more than limit rows; on
     failing inputs that is usually x = 0, whose agreement row the search
-    builds first anyway.  Only the search below produces witnesses, so a
+    builds first anyway.  Rows that pass are dropped, so the scan keeps only
+    the row it stops at.  Only the search below produces witnesses, so a
     certified input gets the same None the search would have returned.
 
     One depth-first pass carries bad, the rows already unseparated, and
@@ -156,6 +157,7 @@ def find_violation(m: Matrix, weights) -> ViolationWitness | None:
     for x in range(n - 1):
         if any(map(limit.__lt__, map(int.bit_count, agreement_row(x)[x + 1:]))):
             break
+        agreement[x] = None
     else:
         return None
 
@@ -208,20 +210,19 @@ def is_linear_shf(m: Matrix) -> bool:
     return _first_nonlinear_pair(m.columns()) is None
 
 
-def special_columns(m: Matrix) -> list[SpecialColumnReport]:
-    """Columns having some row whose symbol is shared by at most one other.
+def _special_row(column, counts) -> tuple[int, int] | None:
+    """(row, sharers) at the lowest row i with counts[i][symbol] <= 2, or None."""
+    for i, (s, count) in enumerate(zip(column, counts)):
+        if count[s] <= 2:
+            return i, count[s] - 1
+    return None
 
-    Reports the lowest witnessing row per column.
-    """
+
+def special_columns(m: Matrix) -> list[SpecialColumnReport]:
+    """Each column with a row whose symbol at most one other shows, at its lowest such row."""
     counts = [Counter(row) for row in m.entries]
-    reports = []
-    for x in range(m.cols):
-        for i, (row, count) in enumerate(zip(m.entries, counts)):
-            sharers = count[row[x]] - 1
-            if sharers <= 1:
-                reports.append(SpecialColumnReport(x, i, sharers))
-                break
-    return reports
+    found = ((x, _special_row(column, counts)) for x, column in enumerate(m.columns()))
+    return [SpecialColumnReport(x, *hit) for x, hit in found if hit is not None]
 
 
 def extract_nonspecial_subfamily(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -231,19 +232,22 @@ def extract_nonspecial_subfamily(m: Matrix) -> tuple[Matrix, list[int]]:
     current subfamily.  Each deletion is chargeable to a (row, symbol) pair
     and a pair can pay for at most two columns, so at most 2*N*q columns are
     ever deleted.  Returns the surviving submatrix and the deleted original
-    column indices in deletion order.
+    column indices in deletion order.  The symbol counts are built once and
+    each deletion decrements the victim's, so they equal the current
+    subfamily's and each victim is its special_columns(...)[0], mapped back.
     """
+    columns = m.columns()
+    counts = [Counter(row) for row in m.entries]
     alive = list(range(m.cols))
     deleted: list[int] = []
-    while alive:
-        current = m.submatrix(alive)
-        specials = special_columns(current)
-        if not specials:
-            break
-        victim = alive[specials[0].column]
+    while True:
+        victim = next((x for x in alive if _special_row(columns[x], counts)), None)
+        if victim is None:
+            return m.submatrix(alive), deleted
         alive.remove(victim)
         deleted.append(victim)
-    return m.submatrix(alive), deleted
+        for count, s in zip(counts, columns[victim]):
+            count[s] -= 1
 
 
 def extract_linear_subfamily(m: Matrix) -> Matrix:

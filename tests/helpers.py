@@ -11,9 +11,13 @@ engine's references are the earlier separation polynomial and gradient,
 which sum all t! permutations, and the earlier Johnson-type dynamic
 program, which scans every step length.  The text-path references are the
 earlier parse_matrix, the earlier write_matrix, which prints each entry with
-str(), and the entry loop of the earlier Matrix.__post_init__.
+str(), and the entry loop of the earlier Matrix.__post_init__.  The
+special-column greedy's reference recounts every row's sharers after each
+deletion, and the threshold's quadratic piece is checked against decimal
+arithmetic carried well past the digits of its value.
 """
 
+from decimal import Decimal, ROUND_FLOOR, localcontext
 from functools import lru_cache
 from itertools import combinations, permutations
 import random
@@ -261,6 +265,42 @@ def naive_special_columns(m):
                 out.append((x, i, sharers))
                 break
     return out
+
+
+def reference_nonspecial_subfamily(m):
+    """Delete the lowest special column of the current family until none is left.
+
+    A column is special when some row shows its symbol on at most one other
+    alive column; sharers are recounted from the entries after every deletion.
+    """
+    alive = list(range(m.cols))
+    deleted = []
+
+    def special(x):
+        return any(
+            sum(1 for y in alive if y != x and m.entries[i][y] == m.entries[i][x]) <= 1
+            for i in range(m.rows)
+        )
+
+    while True:
+        victim = next((x for x in alive if special(x)), None)
+        if victim is None:
+            return m.submatrix(alive), deleted
+        alive.remove(victim)
+        deleted.append(victim)
+
+
+def reference_quadratic_piece(w):
+    """floor((15 + sqrt(33))/24 * (w-2)**2) + 1 in decimal arithmetic.
+
+    Carried to twice the digits of (w-2)**2 plus 30, so the floor is exact
+    unless the value lies within 10**-30 of an integer.
+    """
+    sq = (w - 2) ** 2
+    with localcontext() as ctx:
+        ctx.prec = 2 * len(str(sq)) + 30
+        value = (15 + Decimal(33).sqrt()) / 24 * sq
+        return int(value.to_integral_value(rounding=ROUND_FLOOR)) + 1
 
 
 def naive_first_cover(m, w):

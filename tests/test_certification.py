@@ -1,6 +1,11 @@
-"""Certification must not rely on assert, which python -O strips."""
+"""Static checks of the library source.
+
+Certification must not rely on assert, which python -O strips; the library
+has no unused import or private name, and imports only the standard library.
+"""
 
 import ast
+import sys
 from pathlib import Path
 
 import sephash
@@ -39,6 +44,26 @@ def test_library_has_no_unused_import():
                     name = (alias.asname or alias.name).split(".")[0]
                     if name not in used and (path.name, name) not in REEXPORTS:
                         found.append(f"{path.name}:{node.lineno} {name}")
+    assert len(SOURCES) > 5
+    assert found == []
+
+
+def test_library_imports_only_the_standard_library():
+    # The package declares no dependencies: every import is a stdlib
+    # module, __future__, or a relative import from the package itself.
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "__future__" and top not in sys.stdlib_module_names:
+                    found.append(f"{path.name}:{node.lineno} {name}")
     assert len(SOURCES) > 5
     assert found == []
 

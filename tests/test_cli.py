@@ -20,6 +20,8 @@ from sephash.search import (
 )
 from sephash.verification import find_violation
 
+from helpers import reference_quadratic_piece
+
 
 def run(argv):
     buf = io.StringIO()
@@ -137,6 +139,13 @@ class TestBounds:
         assert code == 0
         assert out["lower"] == 87
         assert out["sandwich"] == ["N*(w-2)", "N*(w)"]
+
+    def test_threshold_past_double_range(self):
+        # (w-2)**2 near 10**320 overflows a double; the piece is exact.
+        w = 10**160
+        code, out = run(["bounds", "--threshold", str(w)])
+        assert code == 0
+        assert out["lower"] == out["pieces"]["quadratic"] == reference_quadratic_piece(w)
 
     def test_missing_args_exit_2(self):
         code, _ = run(["bounds", "4"])
@@ -295,6 +304,11 @@ class TestConstruct:
         code, _ = run(["construct", "random", "3", "3", "1", "--seed", "1"])
         assert code == 2
         assert "need at least two parts" in capsys.readouterr().err
+
+    def test_rs_composite_field_exits_2(self, capsys):
+        code, _ = run(["construct", "rs", "4", "2", "2"])
+        assert code == 2
+        assert "4 is not prime" in capsys.readouterr().err
 
     def test_rainbowfree_json(self):
         code, out = run(["construct", "rainbowfree", "3", "2", "--k", "3"])

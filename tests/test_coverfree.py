@@ -23,7 +23,7 @@ from sephash.matrix import CertificationError, Matrix
 from sephash.search import identity_construction
 from sephash.verification import PreconditionError, find_violation
 
-from helpers import naive_first_cover, random_matrix
+from helpers import naive_first_cover, random_matrix, reference_quadratic_piece
 
 
 def identity(n):
@@ -191,6 +191,26 @@ class TestThresholds:
     def test_rejects_small_w(self):
         with pytest.raises(ValueError):
             frameproof_threshold_bounds(2)
+
+    def test_quadratic_piece_matches_decimal_reference_up_to_10_000(self):
+        for w in range(3, 10_001):
+            got = frameproof_threshold_bounds(w).pieces["quadratic"]
+            assert got == reference_quadratic_piece(w), w
+
+    # At w = 287,382, the least w where double rounding put the floor one
+    # high, c*(w-2)**2 = 71,384,861,672.9999966...; the rest run up to
+    # 3*10**40, far past where a double holds c*(w-2)**2 to the unit.
+    LARGE_W = [("287382", 287_382)] + [
+        (label % k, w)
+        for k in range(1, 41)
+        for label, w in (("10^%d", 10**k), ("10^%d+7", 10**k + 7), ("3*10^%d+1", 3 * 10**k + 1))
+    ]
+
+    @pytest.mark.parametrize("w", [w for _, w in LARGE_W], ids=[label for label, _ in LARGE_W])
+    def test_quadratic_piece_is_exact_at_large_w(self, w):
+        b = frameproof_threshold_bounds(w)
+        assert b.pieces["quadratic"] == reference_quadratic_piece(w)
+        assert b.lower == max(b.pieces.values())
 
 
 class TestLemmaProperties:

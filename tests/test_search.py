@@ -321,6 +321,31 @@ class TestAlteration:
         monkeypatch.setattr("sephash.search.find_violation", lambda m, w: None)
         assert random_shf_alteration(n_rows, q, weights, seed=0).cols == pool
 
+    @pytest.mark.parametrize("trials", [1, 2])
+    def test_one_oracle_call_per_deletion_and_one_that_accepts(self, monkeypatch, trials):
+        # The pool for (3, 4, {1, 1}) is 32 columns.  Each trial shrinks it
+        # one column per call until a call accepts, and that accepted matrix
+        # is returned as is, with no second check.
+        calls = []
+
+        def counted(m, w):
+            got = find_violation(m, w)
+            calls.append((m, got))
+            return got
+
+        monkeypatch.setattr("sephash.search.find_violation", counted)
+        result = random_shf_alteration(3, 4, [1, 1], seed=0, trials=trials)
+        starts = [i for i, (m, _) in enumerate(calls) if m.cols == 32]
+        assert len(starts) == trials and starts[0] == 0
+        accepted = []
+        for a, b in zip(starts, starts[1:] + [len(calls)]):
+            trial = calls[a:b]
+            assert [m.cols for m, _ in trial] == list(range(32, 32 - len(trial), -1))
+            assert all(got is not None for _, got in trial[:-1])
+            assert trial[-1][1] is None
+            accepted.append(trial[-1][0])
+        assert any(result is m for m in accepted)
+
     def test_full_pool_of_distinct_one_row_columns(self):
         # 4,096 distinct one-row columns: no two agree, so the oracle's
         # distance certificate accepts the whole pool at once instead of

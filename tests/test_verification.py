@@ -1,6 +1,7 @@
 """Tests for the separation oracle and the greedy extraction algorithms."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,6 +26,7 @@ from helpers import (
     naive_special_columns,
     random_matrix,
     reference_find_violation,
+    reference_nonspecial_subfamily,
 )
 
 
@@ -223,6 +225,20 @@ def test_find_violation_matches_reference_witness_large_alphabet(m, weights):
     assert find_violation(m, weights) == reference_find_violation(m, weights)
 
 
+def test_distance_scan_keeps_one_agreement_row():
+    # 2,048 distinct one-row columns: no two agree, so the scan passes every
+    # agreement row and certifies.  Each row holds 2,048 ints; keeping them
+    # all costs about 32 MiB, one at a time well under 1 MiB.
+    m = Matrix((tuple(range(2048)),), 2048)
+    tracemalloc.start()
+    try:
+        assert find_violation(m, [2, 2]) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 class TestLinearity:
     def test_identity_linear(self):
         assert is_linear_shf(identity_construction(3, 1))
@@ -312,6 +328,16 @@ class TestGreedyExtraction:
                         if y != x and survivor.entries[i][y] == sym
                     )
                     assert sharers >= 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=small_matrices(max_q=5))
+@example(m=Matrix(((0, 1, 2), (1, 2, 0), (2, 0, 1)), 3))
+# Deletes 2, then 1 (special only once 2 is gone), then 3; 0, 4, 5 survive.
+@example(m=Matrix(((1, 0, 0, 0, 1, 1), (0, 0, 1, 0, 0, 0)), 2))
+def test_greedy_matches_definitional_reference(m):
+    survivor, deleted = extract_nonspecial_subfamily(m)
+    assert (survivor, deleted) == reference_nonspecial_subfamily(m)
 
 
 class TestExtractLinearSubfamily:
