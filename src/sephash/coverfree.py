@@ -13,6 +13,7 @@ the bottom of this module.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .matrix import Matrix, _certify
@@ -129,10 +130,17 @@ class ThresholdBounds:
 
 
 def cover_free_threshold_lower(w: int) -> float:
-    """Lower bound on the least N admitting a w-cover-free family with n > N."""
+    """Lower bound on the least N admitting a w-cover-free family with n > N.
+
+    Past the double range the value is the largest double, still a true
+    lower bound (as in bounds.prob_lower_bound).
+    """
     if w < 1:
         raise ValueError("w must be positive")
-    return QUADRATIC_COEFF * w * w
+    try:
+        return min(QUADRATIC_COEFF * w * w, sys.float_info.max)
+    except OverflowError:
+        return sys.float_info.max
 
 
 def frameproof_threshold_bounds(w: int) -> ThresholdBounds:

@@ -15,8 +15,8 @@ bit i*width + (rank of s among part i's symbols) of an edge's vertex mask,
 and a vertex's incidence mask holds the edges through it.  Each path keeps
 the least part sequence for every set of parts its shared vertices can use.
 
-The vertex-bit layout is built only here: _cube gives the exact searches
-of sephash.search their candidate space from the same two builders.
+The vertex-bit layout is built only here (_cube serves sephash.search), and
+edge agreement only by sephash.verification's scan (is_linear_hypergraph).
 """
 
 from __future__ import annotations
@@ -27,14 +27,14 @@ from itertools import combinations, product
 from operator import or_
 
 from .matrix import Matrix, _certify
-from .verification import ViolationWitness, _first_nonlinear_pair, row_separates
+from .verification import ViolationWitness, _Agreement, row_separates
 
 
 @dataclass(frozen=True)
 class PartiteHypergraph:
     """r-uniform r-partite hypergraph with parts of equal size q.
 
-    Edge j is stored as a tuple of symbols, one per part: vertex (i, s)
+    Edge j is stored as a tuple of int symbols, one per part: vertex (i, s)
     belongs to edge j iff edges[j][i] == s.  Duplicate edges are allowed
     (they arise from duplicate matrix columns) and simply make the
     hypergraph non-linear.
@@ -50,6 +50,8 @@ class PartiteHypergraph:
         for e in self.edges:
             if len(e) != self.parts:
                 raise ValueError("every edge must meet each part exactly once")
+            if any(type(s) is not int for s in e):
+                raise ValueError(f"edge {e!r} has a symbol that is not an int")
             if any(not 0 <= s < self.part_size for s in e):
                 raise ValueError("edge vertex outside part range")
 
@@ -117,7 +119,7 @@ def hypergraph_to_matrix(h: PartiteHypergraph) -> Matrix:
 
 def is_linear_hypergraph(h: PartiteHypergraph) -> bool:
     """True iff all distinct edge pairs meet in at most one vertex."""
-    return _first_nonlinear_pair(h.edges) is None
+    return _Agreement(hypergraph_to_matrix(h)).first_pair_over(1) is None
 
 
 def _vertex_masks(edges, q: int) -> list[int]:

@@ -111,13 +111,20 @@ class Matrix:
 
 @dataclass(frozen=True)
 class SeparationType:
-    """A sorted multiset {w1 <= ... <= wt} of positive part sizes."""
+    """A sorted multiset {w1 <= ... <= wt} of positive part sizes.
+
+    Each weight is an int (not a bool or a float), like Matrix's entries;
+    of() casts a weight that an int equals, such as True or 2.0.
+    """
 
     weights: tuple[int, ...]
 
     def __post_init__(self):
         if not self.weights:
             raise ValueError("separation type needs at least one weight")
+        for w in self.weights:
+            if type(w) is not int:
+                raise ValueError(f"weight {w!r} is not an int")
         if any(w < 1 for w in self.weights):
             raise ValueError("weights must be positive")
         if list(self.weights) != sorted(self.weights):
@@ -125,7 +132,12 @@ class SeparationType:
 
     @classmethod
     def of(cls, weights) -> "SeparationType":
-        return cls(tuple(sorted(int(w) for w in weights)))
+        ints = []
+        for w in weights:
+            if int(w) != w:
+                raise ValueError(f"weight {w!r} is not an integer")
+            ints.append(int(w))
+        return cls(tuple(sorted(ints)))
 
     @classmethod
     def parse(cls, spec: str) -> "SeparationType":
@@ -234,15 +246,12 @@ def group_rows(m: Matrix, a: int) -> Matrix:
         raise OverflowError(f"grouped alphabet {m.q}**{a} exceeds symbol limit")
     if a == 1:
         return m
+    q = m.q
     new_rows = []
-    for g in range(m.rows // a):
-        block = m.entries[g * a : (g + 1) * a]
-        row = []
-        for j in range(m.cols):
-            sym = 0
-            for r in range(a):
-                sym = sym * m.q + block[r][j]
-            row.append(sym)
+    for g in range(0, m.rows, a):
+        row = m.entries[g]
+        for below in m.entries[g + 1 : g + a]:
+            row = [s * q + e for s, e in zip(row, below)]
         new_rows.append(tuple(row))
     return Matrix(tuple(new_rows), new_q)
 

@@ -2,12 +2,12 @@
 
 Constructions self-certify: each output is re-checked before being
 returned, by the separation oracle (whose distance certificate settles
-reed_solomon_frameproof's codes from pairwise column agreement alone) or
-by a linear-time sufficient condition (identity_construction: every
-column has a private row), and a failed re-check raises
-CertificationError (an explicit raise, so it also runs under python -O).
-random_shf_alteration prunes until the oracle accepts and returns the
-matrix that last call accepted, with no second call.
+reed_solomon_frameproof's codes from pairwise column agreement alone) or by
+a linear-time sufficient condition (identity_construction: every column has
+a private row, a one-column class of the oracle's per-row symbol classes),
+and a failed re-check raises CertificationError (an explicit raise, so it
+also runs under python -O).  random_shf_alteration prunes until the oracle
+accepts and returns the matrix that last call accepted, with no second call.
 
 Both exact searches take their candidate space from hypergraph._cube: all
 q**N columns (or edges) in lexicographic order, each with its vertex mask
@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -61,7 +60,7 @@ from .matrix import (
     normalize_weights,
     write_matrix,
 )
-from .verification import PreconditionError, find_violation
+from .verification import PreconditionError, _Agreement, find_violation
 
 _DEFAULT_NODE_BUDGET = 5_000_000
 
@@ -74,11 +73,8 @@ def _has_private_rows(m: Matrix) -> bool:
     That row separates the column from every set of other columns, so the
     matrix is {1, w}-separating for every w.  O(N*n).
     """
-    private = set()
-    for row in m.entries:
-        counts = Counter(row)
-        private.update(j for j, s in enumerate(row) if counts[s] == 1)
-    return len(private) == m.cols
+    classes = (cols for by_symbol in _Agreement(m).classes for cols in by_symbol.values())
+    return len({cols[0] for cols in classes if len(cols) == 1}) == m.cols
 
 
 def identity_construction(n_rows: int, w: int) -> Matrix:

@@ -7,7 +7,7 @@ It first tries the distance certificate (no two columns agree in more than
 (N-1) // sum_{i<j} wi*wj rows), which proves separation without looking at
 a part tuple.  Otherwise one pass over the part tuples, carrying the OR of
 the rows left unseparated, decides it and returns a reproducible
-certificate when the property fails.
+certificate when the property fails.  _Agreement computes column agreement.
 
 Everything here is pure and operates on immutable matrices; calls are safe
 to run concurrently.
@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from operator import eq, or_
+from operator import or_
 
 from .matrix import Matrix, normalize_weights
 
@@ -99,6 +99,43 @@ def _first_cover(masks, need: int, size: int, start: int, used) -> tuple[int, ..
     return None
 
 
+class _Agreement:
+    """Pairwise column agreement from per-row symbol classes, built once.
+
+    classes[r] maps each symbol of row r to its ascending columns; bit r of
+    row(x)[z], built on first use, is set iff columns x and z agree in row r.
+    """
+
+    def __init__(self, m: Matrix):
+        self.entries = m.entries
+        self.classes: list[dict[int, list[int]]] = [{} for _ in m.entries]
+        for by_symbol, symbols in zip(self.classes, m.entries):
+            for z, s in enumerate(symbols):
+                by_symbol.setdefault(s, []).append(z)
+        self.memo: list[list[int] | None] = [None] * m.cols
+
+    def row(self, x: int) -> list[int]:
+        if self.memo[x] is None:
+            got = self.memo[x] = [0] * len(self.memo)
+            for r, (symbols, by_symbol) in enumerate(zip(self.entries, self.classes)):
+                for z in by_symbol[symbols[x]]:
+                    got[z] |= 1 << r
+        return self.memo[x]
+
+    def first_pair_over(self, limit: int) -> tuple[int, int, int] | None:
+        """First (x, z, agreements > limit), x < z lexicographic; drops rows that pass."""
+        row, memo = self.row, self.memo
+        for x in range(len(memo) - 1):
+            got = row(x)
+            if any(map(limit.__lt__, map(int.bit_count, got[x + 1 :]))):
+                z = x + 1
+                while got[z].bit_count() <= limit:
+                    z += 1
+                return x, z, got[z].bit_count()
+            memo[x] = None
+        return None
+
+
 def find_violation(m: Matrix, weights) -> ViolationWitness | None:
     """Exact separation oracle.
 
@@ -115,18 +152,13 @@ def find_violation(m: Matrix, weights) -> ViolationWitness | None:
     pairs.  If no two columns agree in more than limit = (N-1) // pairs
     rows, every tuple has at most pairs*limit < N unseparated rows, so the
     matrix separates (a one-part type has no cross-part pair and always
-    separates).  The scan takes columns x in ascending order and stops at
-    the first later column that agrees with x in more than limit rows; on
-    failing inputs that is usually x = 0, whose agreement row the search
-    builds first anyway.  Rows that pass are dropped, so the scan keeps only
-    the row it stops at.  Only the search below produces witnesses, so a
-    certified input gets the same None the search would have returned.
+    separates).  Only the search below produces witnesses, so a certified
+    input gets the same None the search would have returned.
 
     One depth-first pass carries bad, the rows already unseparated, and
     reach[z], the OR of completed parts' agreement rows with z; the last
     part is the first free combination whose reach covers the rows not yet
     bad (_first_cover).
-    Agreement rows are built lazily from per-row symbol classes.
     """
     sizes = normalize_weights(weights).weights
     n = m.cols
@@ -137,30 +169,11 @@ def find_violation(m: Matrix, weights) -> ViolationWitness | None:
     pairs = sum(a * b for a, b in combinations(sizes, 2))
     if not pairs:
         return None
-    full = (1 << m.rows) - 1
-    classes: list[dict[int, list[int]]] = [{} for _ in m.entries]
-    for by_symbol, row in zip(classes, m.entries):
-        for z, s in enumerate(row):
-            by_symbol.setdefault(s, []).append(z)
-    agreement: list[list[int] | None] = [None] * n
-
-    def agreement_row(x: int) -> list[int]:
-        if agreement[x] is None:
-            got = agreement[x] = [0] * n
-            for r, (row, by_symbol) in enumerate(zip(m.entries, classes)):
-                for z in by_symbol[row[x]]:
-                    got[z] |= 1 << r
-        return agreement[x]
-
-    # The distance certificate: stop at the first pair over the limit.
-    limit = (m.rows - 1) // pairs
-    for x in range(n - 1):
-        if any(map(limit.__lt__, map(int.bit_count, agreement_row(x)[x + 1:]))):
-            break
-        agreement[x] = None
-    else:
+    agreement = _Agreement(m)
+    if agreement.first_pair_over((m.rows - 1) // pairs) is None:
         return None
-
+    agreement_row = agreement.row
+    full = (1 << m.rows) - 1
     used = [False] * n
     parts: list[list[int]] = [[] for _ in sizes]
     last = len(sizes) - 1
@@ -196,18 +209,9 @@ def find_violation(m: Matrix, weights) -> ViolationWitness | None:
     return None
 
 
-def _first_nonlinear_pair(columns) -> tuple[int, int, int] | None:
-    """First (i, j, agreements), i < j lexicographic, with agreements > 1."""
-    for (i, a), (j, b) in combinations(enumerate(columns), 2):
-        agreements = sum(map(eq, a, b))
-        if agreements > 1:
-            return i, j, agreements
-    return None
-
-
 def is_linear_shf(m: Matrix) -> bool:
     """True iff every pair of distinct columns agrees in at most one row."""
-    return _first_nonlinear_pair(m.columns()) is None
+    return _Agreement(m).first_pair_over(1) is None
 
 
 def _special_row(column, counts) -> tuple[int, int] | None:
@@ -261,7 +265,7 @@ def extract_linear_subfamily(m: Matrix) -> Matrix:
     if m.rows != 4:
         raise PreconditionError("defined only for matrices with exactly 4 rows")
     survivor, _ = extract_nonspecial_subfamily(m)
-    pair = _first_nonlinear_pair(survivor.columns())
+    pair = _Agreement(survivor).first_pair_over(1)
     if pair is not None:
         err = PreconditionError(
             "input is not {{2,2}}-separating: survivor columns "

@@ -11,15 +11,20 @@ engine's references are the earlier separation polynomial and gradient,
 which sum all t! permutations, and the earlier Johnson-type dynamic
 program, which scans every step length.  The text-path references are the
 earlier parse_matrix, the earlier write_matrix, which prints each entry with
-str(), and the entry loop of the earlier Matrix.__post_init__.  The
-special-column greedy's reference recounts every row's sharers after each
-deletion, and the threshold's quadratic piece is checked against decimal
-arithmetic carried well past the digits of its value.
+str(), and the entry loop of the earlier Matrix.__post_init__; group_rows's
+is its earlier per-entry digit loop.  The special-column greedy's reference
+recounts every row's sharers after each deletion, and the threshold's
+quadratic piece is checked against decimal arithmetic carried well past
+the digits of its value.  Pairwise column agreement is checked against the
+earlier linearity loop, which compares each column pair entry by entry, and
+the private-row certificate against a per-row Counter.
 """
 
+from collections import Counter
 from decimal import Decimal, ROUND_FLOOR, localcontext
 from functools import lru_cache
 from itertools import combinations, permutations
+from operator import eq
 import random
 
 from sephash.bounds import INF, _decrement_weight
@@ -167,6 +172,39 @@ def reference_write_matrix(m: Matrix) -> str:
     if m.cols > 0:
         lines.extend(" ".join(str(e) for e in row) for row in m.entries)
     return "\n".join(lines) + "\n"
+
+
+def reference_group_rows(m: Matrix, a: int) -> Matrix:
+    """group_rows by its definition: each stacked entry's base-q digits."""
+    new_rows = []
+    for g in range(m.rows // a):
+        block = m.entries[g * a : (g + 1) * a]
+        row = []
+        for j in range(m.cols):
+            sym = 0
+            for r in range(a):
+                sym = sym * m.q + block[r][j]
+            row.append(sym)
+        new_rows.append(tuple(row))
+    return Matrix(tuple(new_rows), m.q**a)
+
+
+def reference_first_pair_over(columns, limit=1):
+    """First (i, j, agreements), i < j lexicographic, with agreements > limit."""
+    for (i, a), (j, b) in combinations(enumerate(columns), 2):
+        agreements = sum(map(eq, a, b))
+        if agreements > limit:
+            return i, j, agreements
+    return None
+
+
+def reference_has_private_rows(m: Matrix) -> bool:
+    """Every column shows, in some row, a symbol no other column shows there."""
+    private = set()
+    for row in m.entries:
+        counts = Counter(row)
+        private.update(j for j, s in enumerate(row) if counts[s] == 1)
+    return len(private) == m.cols
 
 
 def _shared_parts(h: PartiteHypergraph, a: int, b: int) -> tuple[int, ...]:

@@ -165,6 +165,13 @@ class TestThresholds:
         assert math.isclose(cover_free_threshold_lower(1), QUADRATIC_COEFF)
         assert math.isclose(cover_free_threshold_lower(10), QUADRATIC_COEFF * 100)
 
+    def test_lower_saturates_past_double_range(self):
+        # The value exceeds every double at both w; the largest double is
+        # still a lower bound, and a finite value near the edge is unchanged.
+        assert cover_free_threshold_lower(10**160) == sys.float_info.max
+        assert cover_free_threshold_lower(10**400) == sys.float_info.max
+        assert cover_free_threshold_lower(10**154) == QUADRATIC_COEFF * 10**154 * 10**154
+
     def test_lower_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             cover_free_threshold_lower(0)

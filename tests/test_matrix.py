@@ -15,7 +15,12 @@ from sephash.matrix import (
     write_matrix,
 )
 
-from helpers import reference_check_entries, reference_parse_matrix, reference_write_matrix
+from helpers import (
+    reference_check_entries,
+    reference_group_rows,
+    reference_parse_matrix,
+    reference_write_matrix,
+)
 
 
 def small_matrices(max_rows=4, max_cols=5, max_q=4):
@@ -250,6 +255,11 @@ class TestSeparationType:
         with pytest.raises(ValueError):
             SeparationType.parse("")
 
+    def test_of_casts_lossless_weights(self):
+        w = SeparationType.of([2.0, True])
+        assert w.weights == (1, 2)
+        assert all(type(x) is int for x in w.weights)
+
 
 class TestGroupRows:
     def test_binary_pairs(self):
@@ -282,6 +292,13 @@ class TestGroupRows:
         if m.rows % (a * b) != 0:
             return
         assert group_rows(group_rows(m, a), b) == group_rows(m, a * b)
+
+    @settings(max_examples=200)
+    @given(small_matrices(max_rows=6, max_cols=6, max_q=5), st.integers(1, 6))
+    def test_matches_digit_loop_reference(self, m, a):
+        if m.rows % a != 0:
+            return
+        assert group_rows(m, a) == reference_group_rows(m, a)
 
 
 class TestFrequencies:

@@ -32,7 +32,7 @@ from sephash.search import (
     random_shf_alteration,
     reed_solomon_frameproof,
 )
-from sephash.verification import PreconditionError
+from sephash.verification import PreconditionError, find_violation
 
 BINARY = Matrix(((1, 0), (0, 1)), 2)
 # Both members are 1 on every row, so each covers the other.
@@ -67,11 +67,15 @@ REJECTIONS = [
     ("shf_to_cff_double w<1", lambda: shf_to_cff_double(BINARY, 0), ValueError, "w must be positive"),
     # hypergraph.py
     ("PartiteHypergraph no parts", lambda: PartiteHypergraph(0, 2, ()), ValueError, "at least one part"),
+    ("PartiteHypergraph float symbol", lambda: PartiteHypergraph(2, 2, ((1.0, 0),)), ValueError, "not an int"),
     # matrix.py
     ("Matrix q<1", lambda: Matrix(((0,),), 0), ValueError, "alphabet size must be >= 1"),
     ("Matrix.submatrix index", lambda: BINARY.submatrix([2]), IndexError, "column index 2 out of range"),
     ("SeparationType empty", lambda: SeparationType(()), ValueError, "at least one weight"),
     ("SeparationType unsorted", lambda: SeparationType((2, 1)), ValueError, "sorted ascending"),
+    ("SeparationType float weight", lambda: SeparationType((1.5, 2.5)), ValueError, "weight 1.5 is not an int"),
+    ("SeparationType bool weight", lambda: SeparationType((True, 2)), ValueError, "weight True is not an int"),
+    ("SeparationType.of lossy cast", lambda: SeparationType.of([1.7, 2]), ValueError, "weight 1.7 is not an integer"),
     ("SeparationType.parse non-integer", lambda: SeparationType.parse("1,x"), ValueError, "bad type spec '1,x'"),
     ("group_rows a<1", lambda: group_rows(BINARY, 0), ValueError, "group size must be >= 1"),
     # search.py
@@ -85,6 +89,8 @@ REJECTIONS = [
     ("random_shf_alteration trials<1", lambda: random_shf_alteration(2, 3, [1, 1], seed=0, trials=0), ValueError, "trials >= 1"),
     ("rainbow_free_extremal_search no parts", lambda: rainbow_free_extremal_search(0, 2, [3]), ValueError, "at least one part"),
     ("rainbow_free_extremal_search no lengths", lambda: rainbow_free_extremal_search(3, 2, []), ValueError, "at least one cycle length"),
+    # verification.py
+    ("find_violation lossy weights", lambda: find_violation(BINARY, [1.7, 2]), ValueError, "weight 1.7 is not an integer"),
 ]
 
 

@@ -7,8 +7,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sephash import verification
+from sephash.hypergraph import PartiteHypergraph, is_linear_hypergraph, matrix_to_hypergraph
 from sephash.matrix import Matrix
-from sephash.search import cyclic_overlap_matrix, identity_construction, reed_solomon_frameproof
+from sephash.search import (
+    _has_private_rows,
+    cyclic_overlap_matrix,
+    identity_construction,
+    reed_solomon_frameproof,
+)
 from sephash.verification import (
     PreconditionError,
     SpecialColumnReport,
@@ -26,6 +32,8 @@ from helpers import (
     naive_special_columns,
     random_matrix,
     reference_find_violation,
+    reference_first_pair_over,
+    reference_has_private_rows,
     reference_nonspecial_subfamily,
 )
 
@@ -403,6 +411,47 @@ class TestExtractLinearSubfamily:
         m = Matrix(tuple(tuple(range(q)) for _ in range(4)), q)
         assert find_violation(m, [2, 2]) is None
         assert is_linear_shf(extract_linear_subfamily(m))
+
+
+def test_agreement_kernel_matches_pairwise_reference():
+    # Every caller of the column-agreement kernel against the entry-by-entry
+    # pair loop (and the private-row certificate against a per-row Counter),
+    # on random matrices with N 1-6, n 0-12 and q 1-5, plus the edge cases.
+    rng = random.Random(41)
+    cases = [Matrix(((),) * 4, 2), Matrix(((0,),) * 4, 1), Matrix(((0, 1, 1),), 2)]
+    cases += [
+        random_matrix(rng, rng.randint(1, 6), rng.randint(0, 12), rng.randint(1, 5))
+        for _ in range(1500)
+    ]
+    cases += [random_matrix(rng, 4, rng.randint(0, 12), rng.randint(1, 5)) for _ in range(500)]
+    assert is_linear_hypergraph(PartiteHypergraph(3, 2, ()))
+    nonlinear = private = raised = 0
+    for m in cases:
+        pair = reference_first_pair_over(m.columns())
+        assert is_linear_shf(m) == (pair is None)
+        assert is_linear_hypergraph(matrix_to_hypergraph(m)) == (pair is None)
+        assert _has_private_rows(m) == reference_has_private_rows(m)
+        private += _has_private_rows(m)
+        for limit in range(m.rows + 1):
+            got = verification._Agreement(m).first_pair_over(limit)
+            assert got == reference_first_pair_over(m.columns(), limit)
+        nonlinear += pair is not None
+        if m.rows != 4:
+            continue
+        survivor, _ = extract_nonspecial_subfamily(m)
+        pair = reference_first_pair_over(survivor.columns())
+        if pair is None:
+            assert extract_linear_subfamily(m) == survivor
+            continue
+        with pytest.raises(PreconditionError) as err:
+            extract_linear_subfamily(m)
+        assert err.value.pair == pair[:2]
+        assert str(err.value) == (
+            "input is not {{2,2}}-separating: survivor columns "
+            "{} and {} agree in {} rows".format(*pair)
+        )
+        raised += 1
+    assert nonlinear > 500 and 200 < private < 1500 and raised > 50
 
 
 @settings(max_examples=60, deadline=None)
