@@ -134,9 +134,13 @@ class SeparationType:
     def of(cls, weights) -> "SeparationType":
         ints = []
         for w in weights:
-            if int(w) != w:
+            try:
+                i = int(w)
+            except (OverflowError, ValueError):  # inf, -inf, nan
+                i = None
+            if i != w:
                 raise ValueError(f"weight {w!r} is not an integer")
-            ints.append(int(w))
+            ints.append(i)
         return cls(tuple(sorted(ints)))
 
     @classmethod

@@ -12,6 +12,7 @@ accepts and returns the matrix that last call accepted, with no second call.
 Both exact searches take their candidate space from hypergraph._cube: all
 q**N columns (or edges) in lexicographic order, each with its vertex mask
 and, per row (part), the bitmask of candidates sharing its symbol there.
+Each is one function running one recursive dfs closure.
 
 exact_capacity enumerates column sets in canonical form: per-row symbol
 relabeling maps some column of any family to the all-zero column, which is
@@ -55,7 +56,6 @@ from .hypergraph import (
 from .matrix import (
     CertificationError,
     Matrix,
-    SeparationType,
     _certify,
     normalize_weights,
     write_matrix,
@@ -189,65 +189,77 @@ class CapacityResult:
         }
 
 
-class _CapacitySearch:
-    """Branch-and-bound over canonical ascending column sets."""
+def _holed_layouts(weights):
+    """Part slots (size, holds the newest column, canonical) of holed tuples.
 
-    def __init__(self, n_rows, q, weights: SeparationType, node_budget):
-        self.n_rows = n_rows
-        self.q = q
-        self.weights = weights.weights
-        self.u = sum(self.weights)
-        self.node_budget = node_budget
-        self.nodes = 0
-        # masks[j]: bit r*q + s set iff column j shows symbol s in row r.
-        # agree[j][r]: the columns that show column j's symbol in row r.
-        self.columns, self.masks, self.agree = _cube(n_rows, q)
-        self._layouts = self._holed_layouts()
-        self.best: list[int] = []
-        self.exhausted = True
+    Slot 0 is the hole, one short of its weight.  One layout per place the
+    newest column can sit: the hole, or a part of each other size.  The
+    remaining equal-size parts are interchangeable, so they ascend by
+    smallest member.
+    """
 
-    def _holed_layouts(self):
-        """Part slots (size, holds the newest column, canonical) of holed tuples.
+    def canonical(rest):
+        return [(v, False, i > 0 and rest[i - 1] == v) for i, v in enumerate(rest)]
 
-        Slot 0 is the hole, one short of its weight.  One layout per place
-        the newest column can sit: the hole, or a part of each other size.
-        The remaining equal-size parts are interchangeable, so they ascend
-        by smallest member.
-        """
+    layouts = []
+    for w in sorted(set(weights)):
+        rest = list(weights)
+        rest.remove(w)
+        if w > 1:
+            layouts.append([(w - 1, True, False)] + canonical(rest))
+        for s in sorted(set(rest)):
+            others = list(rest)
+            others.remove(s)
+            layouts.append([(w - 1, False, False), (s, True, False)] + canonical(others))
+    return layouts
 
-        def canonical(rest):
-            return [(v, False, i > 0 and rest[i - 1] == v) for i, v in enumerate(rest)]
 
-        layouts = []
-        for w in sorted(set(self.weights)):
-            rest = list(self.weights)
-            rest.remove(w)
-            if w > 1:
-                layouts.append([(w - 1, True, False)] + canonical(rest))
-            for s in sorted(set(rest)):
-                others = list(rest)
-                others.remove(s)
-                layouts.append(
-                    [(w - 1, False, False), (s, True, False)] + canonical(others)
-                )
-        return layouts
+def exact_capacity(
+    n_rows: int, q: int, weights, node_budget: int = _DEFAULT_NODE_BUDGET
+) -> CapacityResult:
+    """Largest n for which an N x n W-separating matrix over q symbols exists.
 
-    def _survivors(self, chosen, cand):
-        """The candidates that complete no unseparated tuple with `chosen`.
+    Exhaustive up to per-row symbol relabeling; requires q**N <= 10_000
+    candidate columns and node_budget >= 1.  When the node budget trips, the
+    best family found so far is returned with exact=False, but never fewer
+    than u-1 columns: any u-1 columns, duplicates included, are vacuously
+    separating.  The reported nodes can then exceed node_budget by up to the
+    depth reached, as each level above the trip counts one more candidate
+    before it sees it.
+    """
+    w = normalize_weights(weights)
+    if w.t < 2:
+        raise ValueError("need at least two parts")
+    if n_rows < 1:
+        raise ValueError("need N >= 1")
+    if q < 1:
+        raise ValueError("need q >= 1")
+    if q**n_rows > 10_000:
+        raise ValueError("search space too large: need q**N <= 10000")
+    if node_budget < 1:
+        raise ValueError("need node_budget >= 1")
+    start = time.perf_counter()
+    u = w.u
+    # masks[j]: bit r*q + s set iff column j shows symbol s in row r.
+    # agree[j][r]: the columns that show column j's symbol in row r.
+    columns, masks, agree = _cube(n_rows, q)
+    layouts = _holed_layouts(w.weights)
+    sym_mask = (1 << q) - 1
+    best: list[int] = []
+    nodes = 0
+    exact = True
 
-        cand and the result are bitmasks of column indices.  Only tuples
-        through both chosen[-1] and the candidate are examined; the rest
-        were vetted one level up.  Such a tuple minus the candidate is a
-        "holed" tuple from `chosen`: sizes W with one part (the hole) one
-        short.  A candidate is forbidden if, in every row where no two parts
-        share a symbol, it shares one with a member outside the hole.
-        """
-        if len(chosen) < self.u - 1 or not cand:
+    def survivors(chosen, cand):
+        # The candidates that complete no unseparated tuple with `chosen`.
+        # cand and the result are bitmasks of column indices.  Only tuples
+        # through both chosen[-1] and the candidate are examined; the rest
+        # were vetted one level up.  Such a tuple minus the candidate is a
+        # "holed" tuple from `chosen`: sizes W with one part (the hole) one
+        # short.  A candidate is forbidden if, in every row where no two
+        # parts share a symbol, it shares one with a member outside the hole.
+        if len(chosen) < u - 1 or not cand:
             return cand
         col = chosen[-1]
-        q, n_rows = self.q, self.n_rows
-        masks, agree = self.masks, self.agree
-        sym_mask = (1 << q) - 1
         allowed = cand
 
         def rec(slots, k, prev, bad, seen, outside, avail):
@@ -284,64 +296,39 @@ class _CapacitySearch:
                 if not allowed:
                     return
 
-        for slots in self._layouts:
+        for slots in layouts:
             rec(slots, 0, (), 0, 0, (), chosen[:-1])
             if not allowed:
                 break
         return allowed
 
-    def _dfs(self, chosen, cand):
-        if len(chosen) > len(self.best):
-            self.best = chosen
+    def dfs(chosen, cand):
+        nonlocal best, nodes, exact
+        if len(chosen) > len(best):
+            best = chosen
         left = cand.bit_count()
         for col in _bits(cand):
-            if len(chosen) + left <= len(self.best):
+            if len(chosen) + left <= len(best):
                 return
             left -= 1
-            self.nodes += 1
-            if self.nodes >= self.node_budget:
-                self.exhausted = False
+            nodes += 1
+            if nodes >= node_budget:
+                exact = False
                 return
             # col passed the filter as each chosen column joined: no recheck.
             cand ^= 1 << col  # now the candidates after col
             grown = chosen + [col]
-            self._dfs(grown, self._survivors(grown, cand))
+            dfs(grown, survivors(grown, cand))
 
-
-def exact_capacity(
-    n_rows: int, q: int, weights, node_budget: int = _DEFAULT_NODE_BUDGET
-) -> CapacityResult:
-    """Largest n for which an N x n W-separating matrix over q symbols exists.
-
-    Exhaustive up to per-row symbol relabeling; requires q**N <= 10_000
-    candidate columns and node_budget >= 1.  When the node budget trips, the
-    best family found so far is returned with exact=False, but never fewer
-    than u-1 columns: any u-1 columns, duplicates included, are vacuously
-    separating.  The reported nodes can then exceed node_budget by up to the
-    depth reached, as each level above the trip counts one more candidate
-    before it sees it.
-    """
-    w = normalize_weights(weights)
-    if w.t < 2:
-        raise ValueError("need at least two parts")
-    if n_rows < 1:
-        raise ValueError("need N >= 1")
-    if q < 1:
-        raise ValueError("need q >= 1")
-    if q**n_rows > 10_000:
-        raise ValueError("search space too large: need q**N <= 10000")
-    if node_budget < 1:
-        raise ValueError("need node_budget >= 1")
-    start = time.perf_counter()
-    searcher = _CapacitySearch(n_rows, q, w, node_budget)
     # Canonical: the all-zero column is index 0.  No root filter: a lone
     # column and a candidate are unseparated only if u = 2 and equal.
-    searcher._dfs([0], (1 << len(searcher.columns)) - 2)
+    dfs([0], (1 << len(columns)) - 2)
     elapsed = time.perf_counter() - start
     # Fewer than u-1 distinct columns exist, or the budget tripped first:
     # u-1 copies of column 0 (all-zero) still have no tuple to violate.
-    best = searcher.best if len(searcher.best) >= w.u - 1 else [0] * (w.u - 1)
-    witness = Matrix(tuple(zip(*(searcher.columns[j] for j in best))), q)
+    if len(best) < u - 1:
+        best = [0] * (u - 1)
+    witness = Matrix(tuple(zip(*(columns[j] for j in best))), q)
     _certify(find_violation(witness, w) is None, f"capacity witness is {w}-separating")
     return CapacityResult(
         rows=n_rows,
@@ -349,9 +336,9 @@ def exact_capacity(
         weights=w.weights,
         value=len(best),
         witness=witness,
-        nodes=searcher.nodes,
+        nodes=nodes,
         elapsed=elapsed,
-        exact=searcher.exhausted,
+        exact=exact,
     )
 
 
@@ -426,85 +413,43 @@ class RainbowFreeResult:
         }
 
 
-class _RainbowFreeSearch:
-    """Subset search over candidate edges with bitmask linearity and cycle tests.
+def _closes_cycle(c, chosen, ks, q, vertex_mask, edges_at):
+    """True iff candidate c, linear with the chosen edges, closes a rainbow cycle.
 
-    Vertex masks and edges_at come from hypergraph._cube: edges_at[c][p]
-    holds the candidates through candidate c's vertex in part p.  The
-    chosen edges are a bitmask of candidate indices.  Each vertex pair in
-    distinct parts owns one bit of the pair masks, so two edges share two
-    vertices iff their pair masks meet, and a candidate is linear with the
-    chosen edges iff its pair mask misses the OR of theirs.
+    chosen is a bitmask of candidate indices and ks the ascending cycle
+    lengths; vertex_mask and edges_at come from hypergraph._cube, where
+    edges_at[e][p] holds the candidates through edge e's vertex in part p.
+    Linearity leaves consecutive cycle edges exactly one shared vertex, so
+    a rainbow k-cycle through c is a path c -> E1 -> ... -> E(k-1) -> c over
+    distinct chosen edges whose k shared vertices lie in k distinct parts.
+    The path grows through the incidence masks of its last edge's vertices
+    in unused parts, masked to the chosen edges off it.
     """
+    parts = len(edges_at[c])
+    k_max = ks[-1]
+    new_mask = vertex_mask[c]
 
-    def __init__(self, parts, part_size, ks, node_budget):
-        self.parts = parts
-        self.q = part_size
-        self.ks = ks
-        self.node_budget = node_budget
-        self.nodes = 0
-        self.certified = True
-        self.candidates, self.vertex_mask, self.edges_at = _cube(parts, part_size)
-        part_pairs = list(combinations(range(parts), 2))
-        q = part_size
-        self.pair_mask = [
-            sum(1 << ((n * q + e[i]) * q + e[j]) for n, (i, j) in enumerate(part_pairs))
-            for e in self.candidates
-        ]
-        # Seed: pairwise disjoint diagonal edges share no vertex, hence no cycle.
-        self.best = [tuple(s for _ in range(parts)) for s in range(part_size)]
-
-    def closes_cycle(self, c, chosen):
-        """True iff candidate c, linear with the chosen edges, closes a rainbow cycle.
-
-        Linearity leaves consecutive cycle edges exactly one shared vertex,
-        so a rainbow k-cycle through c is a path c -> E1 -> ... -> E(k-1) -> c
-        over distinct chosen edges whose k shared vertices lie in k distinct
-        parts.  The path grows through the incidence masks of its last
-        edge's vertices in unused parts, masked to the chosen edges off it.
-        """
-        parts, q, ks = self.parts, self.q, self.ks
-        k_max = ks[-1]
-        edges_at = self.edges_at
-        vertex_mask, new_mask = self.vertex_mask, self.vertex_mask[c]
-
-        def walk(edge, length, used_parts, avail):
-            # Grow the path c, ..., edge (length edges, its length - 1 shared
-            # vertices in used_parts) by one edge of avail through an unused part.
-            for p in range(parts):
-                if used_parts >> p & 1:
-                    continue
-                used = used_parts | 1 << p
-                nxt = edges_at[edge][p] & avail
-                while nxt:
-                    low = nxt & -nxt
-                    nxt ^= low
-                    e = low.bit_length() - 1
-                    if length + 1 in ks:
-                        shared = vertex_mask[e] & new_mask
-                        if shared and not used >> ((shared.bit_length() - 1) // q) & 1:
-                            return True
-                    if length + 1 < k_max and walk(e, length + 1, used, avail ^ low):
-                        return True
-            return False
-
-        return walk(c, 1, 0, chosen)
-
-    def _dfs(self, start, size, chosen, covered):
-        if size > len(self.best):
-            self.best = [self.candidates[c] for c in _bits(chosen)]
-        n = len(self.candidates)
-        pair_mask = self.pair_mask
-        for idx in range(start, n):
-            if size + (n - idx) <= len(self.best):
-                return
-            self.nodes += 1
-            if self.nodes >= self.node_budget:
-                self.certified = False
-                return
-            if pair_mask[idx] & covered or self.closes_cycle(idx, chosen):
+    def walk(edge, length, used_parts, avail):
+        # Grow the path c, ..., edge (length edges, its length - 1 shared
+        # vertices in used_parts) by one edge of avail through an unused part.
+        for p in range(parts):
+            if used_parts >> p & 1:
                 continue
-            self._dfs(idx + 1, size + 1, chosen | 1 << idx, covered | pair_mask[idx])
+            used = used_parts | 1 << p
+            nxt = edges_at[edge][p] & avail
+            while nxt:
+                low = nxt & -nxt
+                nxt ^= low
+                e = low.bit_length() - 1
+                if length + 1 in ks:
+                    shared = vertex_mask[e] & new_mask
+                    if shared and not used >> ((shared.bit_length() - 1) // q) & 1:
+                        return True
+                if length + 1 < k_max and walk(e, length + 1, used, avail ^ low):
+                    return True
+        return False
+
+    return walk(c, 1, 0, chosen)
 
 
 def rainbow_free_extremal_search(
@@ -536,15 +481,47 @@ def rainbow_free_extremal_search(
             raise ValueError(f"cycle length {k} outside [3, {parts}]")
     if node_budget < 1:
         raise ValueError("need node_budget >= 1")
-    searcher = _RainbowFreeSearch(parts, part_size, tuple(ks), node_budget)
-    searcher._dfs(0, 0, 0, 0)
-    h = PartiteHypergraph(parts, part_size, tuple(searcher.best))
+    q = part_size
+    candidates, vertex_mask, edges_at = _cube(parts, q)
+    n = len(candidates)
+    # One bit per vertex pair in distinct parts: two edges share two
+    # vertices iff their pair masks meet.
+    part_pairs = list(combinations(range(parts), 2))
+    pair_mask = [
+        sum(1 << ((i * q + e[a]) * q + e[b]) for i, (a, b) in enumerate(part_pairs))
+        for e in candidates
+    ]
+    # Seed: pairwise disjoint diagonal edges share no vertex, hence no cycle.
+    best = [tuple(s for _ in range(parts)) for s in range(q)]
+    nodes = 0
+    certified = True
+
+    def dfs(start, size, chosen, covered):
+        # chosen: bitmask of the chosen candidates; covered: OR of their pair masks.
+        nonlocal best, nodes, certified
+        if size > len(best):
+            best = [candidates[c] for c in _bits(chosen)]
+        for idx in range(start, n):
+            if size + (n - idx) <= len(best):
+                return
+            nodes += 1
+            if nodes >= node_budget:
+                certified = False
+                return
+            if pair_mask[idx] & covered or _closes_cycle(
+                idx, chosen, ks, q, vertex_mask, edges_at
+            ):
+                continue
+            dfs(idx + 1, size + 1, chosen | 1 << idx, covered | pair_mask[idx])
+
+    dfs(0, 0, 0, 0)
+    h = PartiteHypergraph(parts, q, tuple(best))
     _certify(is_linear_hypergraph(h), "hypergraph is linear")
     for k in ks:
         _certify(find_rainbow_cycle(h, k) is None, f"hypergraph has no rainbow {k}-cycle")
     return RainbowFreeResult(
         edge_count=len(h.edges),
         hypergraph=h,
-        nodes=searcher.nodes,
-        certified=searcher.certified,
+        nodes=nodes,
+        certified=certified,
     )

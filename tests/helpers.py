@@ -17,20 +17,30 @@ recounts every row's sharers after each deletion, and the threshold's
 quadratic piece is checked against decimal arithmetic carried well past
 the digits of its value.  Pairwise column agreement is checked against the
 earlier linearity loop, which compares each column pair entry by entry, and
-the private-row certificate against a per-row Counter.
+the private-row certificate against a per-row Counter.  The two exact
+searches are checked against plain subset searches in the same order, with
+the same size bound and node counting, whose only filter is the library's
+whole-matrix checks: find_violation on the chosen columns plus the
+candidate, and is_linear_hypergraph and find_rainbow_cycle on the chosen
+edges plus the candidate.
 """
 
 from collections import Counter
 from decimal import Decimal, ROUND_FLOOR, localcontext
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from operator import eq
 import random
 
 from sephash.bounds import INF, _decrement_weight
-from sephash.hypergraph import PartiteHypergraph, RainbowCycle
+from sephash.hypergraph import (
+    PartiteHypergraph,
+    RainbowCycle,
+    find_rainbow_cycle,
+    is_linear_hypergraph,
+)
 from sephash.matrix import Matrix, MatrixFormatError, normalize_weights
-from sephash.verification import ViolationWitness
+from sephash.verification import ViolationWitness, find_violation
 
 
 def naive_row_separates(m, row, parts):
@@ -291,6 +301,81 @@ def reference_find_rainbow_cycle(h: PartiteHypergraph, k: int) -> RainbowCycle |
         if found is not None:
             return found
     return None
+
+
+def reference_capacity(n_rows, q, weights, node_budget=5_000_000):
+    """(value, nodes, exact, witness) of the canonical capacity search.
+
+    Column sets start at the all-zero column and grow in ascending column
+    order; a candidate stays only while find_violation accepts the chosen
+    columns plus it.  A branch stops once even all its candidates could not
+    beat the best size, and the search stops when the node count reaches
+    node_budget.  Below u-1 columns, u-1 copies of the all-zero column
+    stand in.
+    """
+    w = normalize_weights(weights)
+    columns = list(product(range(q), repeat=n_rows))
+    best: list[int] = []
+    nodes = 0
+    exact = True
+
+    def matrix(chosen):
+        return Matrix(tuple(zip(*(columns[j] for j in chosen))), q)
+
+    def grow(chosen, cand):
+        nonlocal best, nodes, exact
+        if len(chosen) > len(best):
+            best = chosen
+        for i, col in enumerate(cand):
+            if len(chosen) + len(cand) - i <= len(best):
+                return
+            nodes += 1
+            if nodes >= node_budget:
+                exact = False
+                return
+            grown = chosen + [col]
+            grow(grown, [c for c in cand[i + 1 :] if find_violation(matrix(grown + [c]), w) is None])
+
+    grow([0], list(range(1, len(columns))))
+    if len(best) < w.u - 1:
+        best = [0] * (w.u - 1)
+    return len(best), nodes, exact, matrix(best)
+
+
+def reference_rainbow_free(parts, part_size, ks, node_budget=200_000):
+    """(edges, nodes, certified) of the rainbow-free subset search.
+
+    Edge sets grow in lexicographic edge order from the empty set, seeded
+    with the diagonal matching as the best; a candidate joins only if the
+    chosen edges plus it form a linear hypergraph with no rainbow k-cycle
+    for any k in ks.  Size bound and node counting as in reference_capacity.
+    """
+    candidates = list(product(range(part_size), repeat=parts))
+    best = [tuple(s for _ in range(parts)) for s in range(part_size)]
+    nodes = 0
+    certified = True
+
+    def rainbow_free(edges):
+        h = PartiteHypergraph(parts, part_size, tuple(edges))
+        return is_linear_hypergraph(h) and all(find_rainbow_cycle(h, k) is None for k in ks)
+
+    def grow(start, chosen):
+        nonlocal best, nodes, certified
+        if len(chosen) > len(best):
+            best = chosen
+        for idx in range(start, len(candidates)):
+            if len(chosen) + len(candidates) - idx <= len(best):
+                return
+            nodes += 1
+            if nodes >= node_budget:
+                certified = False
+                return
+            grown = chosen + [candidates[idx]]
+            if rainbow_free(grown):
+                grow(idx + 1, grown)
+
+    grow(0, [])
+    return best, nodes, certified
 
 
 def naive_special_columns(m):

@@ -76,6 +76,9 @@ REJECTIONS = [
     ("SeparationType float weight", lambda: SeparationType((1.5, 2.5)), ValueError, "weight 1.5 is not an int"),
     ("SeparationType bool weight", lambda: SeparationType((True, 2)), ValueError, "weight True is not an int"),
     ("SeparationType.of lossy cast", lambda: SeparationType.of([1.7, 2]), ValueError, "weight 1.7 is not an integer"),
+    ("SeparationType.of inf", lambda: SeparationType.of([float("inf")]), ValueError, "weight inf is not an integer"),
+    ("SeparationType.of -inf", lambda: SeparationType.of([2, float("-inf")]), ValueError, "weight -inf is not an integer"),
+    ("SeparationType.of nan", lambda: SeparationType.of([float("nan"), 2]), ValueError, "weight nan is not an integer"),
     ("SeparationType.parse non-integer", lambda: SeparationType.parse("1,x"), ValueError, "bad type spec '1,x'"),
     ("group_rows a<1", lambda: group_rows(BINARY, 0), ValueError, "group size must be >= 1"),
     # search.py

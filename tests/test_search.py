@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sephash
-from sephash.hypergraph import find_rainbow_cycle, is_linear_hypergraph, matrix_to_hypergraph
+from sephash.hypergraph import _cube, find_rainbow_cycle, is_linear_hypergraph, matrix_to_hypergraph
 from sephash.matrix import Matrix, write_matrix
 from sephash.search import (
     CapacityResult,
     CertificationError,
-    _RainbowFreeSearch,
+    _closes_cycle,
     cyclic_overlap_matrix,
     exact_capacity,
     identity_construction,
@@ -31,7 +31,7 @@ from sephash.verification import (
     is_linear_shf,
 )
 
-from helpers import naive_is_separating
+from helpers import naive_is_separating, reference_capacity, reference_rainbow_free
 
 # (N, q, W) -> (value, nodes, exact, witness text), recorded from the search
 # before its candidate filter was rewritten.  Node counts pin the search tree:
@@ -72,6 +72,32 @@ RAINBOW_FREE_REGRESSION = [
     (6, 5, (3, 4, 5, 6), 50000, "000000 111111 222222 333333 444444", 50005, False),
     (6, 5, (3,), 1000, "000000 111111 222222 333333 444444", 1002, False),
 ]
+
+# (N, q, W, node_budget) -> (value, nodes, witness text), recorded from
+# capacity searches whose budget trips (exact=False).  Each level above the
+# trip counts one more candidate before it sees the trip, so nodes exceed
+# the budget by up to the depth reached.
+CAPACITY_BUDGET_TRIPS = [
+    (4, 3, (2, 2), 3000, 5, 3002, "4 5 3\n0 0 0 0 0\n0 0 1 1 2\n0 1 0 1 2\n0 1 1 0 2\n"),
+    (3, 4, (2, 2), 2000, 8, 2003, "3 8 4\n0 0 1 1 2 2 3 3\n0 1 0 1 2 3 2 3\n0 1 1 0 2 3 3 2\n"),
+]
+
+# Points checked against the reference searches in helpers, which run a
+# whole-matrix check per candidate per node (about 0.05-0.7 ms a node).  The
+# regression points below 2,000 (capacity) or 10,000 (rainbow-free) nodes,
+# plus one tripped budget each, take about 3 s together; the four larger
+# capacity points would add about 16 s, and the tripped rainbow-free points
+# of 20,000 nodes or more take over a second each.
+REFERENCE_CAPACITY_POINTS = [
+    (n_rows, q, weights, None)
+    for n_rows, q, weights, _, nodes, *_ in CAPACITY_REGRESSION
+    if nodes < 2000
+] + [(5, 2, (2, 2), 300)]
+REFERENCE_RAINBOW_FREE_POINTS = [
+    (parts, q, ks, budget)
+    for parts, q, ks, budget, _, nodes, _ in RAINBOW_FREE_REGRESSION
+    if nodes < 10_000
+] + [(4, 3, (3,), 300)]
 
 NAIVE_POINTS = [(2, 2, (1, 1)), (3, 2, (1, 2)), (3, 2, (2, 2)), (2, 3, (1, 2))]
 
@@ -253,6 +279,33 @@ class TestExactCapacity:
         )
         assert naive_is_separating(r.witness, weights)
 
+    @pytest.mark.parametrize(
+        "n_rows, q, weights, budget, value, nodes, witness",
+        CAPACITY_BUDGET_TRIPS,
+        ids=[f"{_point_id(*row[:3])}-{row[3]}" for row in CAPACITY_BUDGET_TRIPS],
+    )
+    def test_budget_trip_regression(self, n_rows, q, weights, budget, value, nodes, witness):
+        r = exact_capacity(n_rows, q, weights, node_budget=budget)
+        assert (r.value, r.nodes, r.exact, write_matrix(r.witness)) == (
+            value,
+            nodes,
+            False,
+            witness,
+        )
+
+    @pytest.mark.parametrize(
+        "n_rows, q, weights, budget",
+        REFERENCE_CAPACITY_POINTS,
+        ids=[f"{_point_id(*row[:3])}-{row[3]}" for row in REFERENCE_CAPACITY_POINTS],
+    )
+    def test_matches_reference_search(self, n_rows, q, weights, budget):
+        kwargs = {} if budget is None else {"node_budget": budget}
+        r = exact_capacity(n_rows, q, weights, **kwargs)
+        value, nodes, exact, witness = reference_capacity(n_rows, q, weights, **kwargs)
+        assert (r.value, r.nodes, r.exact) == (value, nodes, exact)
+        assert naive_is_separating(r.witness, weights)
+        assert r.witness == witness
+
     def test_rejects_oversized_space(self):
         with pytest.raises(ValueError, match="too large"):
             exact_capacity(10, 10, [1, 1])
@@ -406,6 +459,17 @@ class TestRainbowFreeSearch:
             "certified": certified,
         }
 
+    @pytest.mark.parametrize(
+        "parts, q, ks, budget",
+        REFERENCE_RAINBOW_FREE_POINTS,
+        ids=[f"{p}-{q}-{','.join(map(str, ks))}-{b}" for p, q, ks, b in REFERENCE_RAINBOW_FREE_POINTS],
+    )
+    def test_matches_reference_search(self, parts, q, ks, budget):
+        kwargs = {} if budget is None else {"node_budget": budget}
+        r = rainbow_free_extremal_search(parts, q, ks, **kwargs)
+        edges, nodes, certified = reference_rainbow_free(parts, q, ks, **kwargs)
+        assert (list(r.hypergraph.edges), r.nodes, r.certified) == (edges, nodes, certified)
+
     def test_rejects_large_instances(self):
         with pytest.raises(ValueError):
             rainbow_free_extremal_search(7, 2, [3])
@@ -449,9 +513,9 @@ def test_closes_cycle_matches_definition(data):
         if len(edges) < 8 and _linear_with(e, edges):
             edges.append(e)
     new = edges.pop(data.draw(st.integers(0, len(edges) - 1)))
-    searcher = _RainbowFreeSearch(parts, q, ks, node_budget=0)
-    chosen = sum(1 << searcher.candidates.index(e) for e in edges)
-    got = searcher.closes_cycle(searcher.candidates.index(new), chosen)
+    candidates, vertex_mask, edges_at = _cube(parts, q)
+    chosen = sum(1 << candidates.index(e) for e in edges)
+    got = _closes_cycle(candidates.index(new), chosen, ks, q, vertex_mask, edges_at)
     assert got == _brute_cycle_through(new, edges, parts, ks)
 
 
