@@ -140,15 +140,16 @@ def _cube(parts: int, q: int):
     """Every point of range(q)**parts, in lexicographic order, with its masks.
 
     The exact searches take these points as candidate columns or edges.
-    Returns (points, masks, agree): masks[j] is point j's vertex mask
-    (_vertex_masks), and agree[j][p] is the incidence mask of its vertex in
-    part p, the points that share point j's symbol there.
+    Returns (points, masks, agree, incidence): masks[j] is point j's vertex
+    mask (_vertex_masks), incidence[v] the points through vertex v
+    (_incidence), and agree[j][p] = incidence[p*q + points[j][p]], the
+    points that share point j's symbol in part p.
     """
     points = list(product(range(q), repeat=parts))
     masks = _vertex_masks(points, q)
     incidence = _incidence(masks, parts * q)
     agree = [tuple(incidence[p * q + s] for p, s in enumerate(x)) for x in points]
-    return points, masks, agree
+    return points, masks, agree, incidence
 
 
 def _bits(mask: int):

@@ -21,11 +21,16 @@ whose first member is all-zero covers every family up to relabeling.  The
 branch-and-bound kernel carries its candidates as one bitmask, free of any
 column that would complete an unseparated tuple.  When a column joins, one
 pass over the "holed" tuples through it (sizes W with one part one short)
-clears every candidate that completes one: rows where two parts of a holed
-tuple share a symbol (read off the columns' vertex masks) are bad, and the
-columns that show, in every other row, a symbol of some member outside
-the short part (the OR of those members' agreement masks) are exactly
-those that complete it into a violation.
+clears every candidate that completes one.  Rows where two parts of a
+holed tuple share a symbol are bad; they are found on the columns' vertex
+masks, each row's q-bit field filled by one carry trick.  The tuple's key
+is the OR of the vertex masks of its members outside the short part with
+the bad rows' fields cleared, and the candidates it forbids are the
+columns that show, in every row where the key has a symbol, one of those
+symbols.  That set depends on the key alone: it is built once per call
+from the per-vertex incidence masks and memoized, so a tuple costs one
+lookup.  The search recurses once per chosen column and refuses, with
+PreconditionError, a family deeper than Python's recursion limit allows.
 
 rainbow_free_extremal_search adds candidate edges in lexicographic order.
 Each edge carries a vertex bitmask and a covered-pair bitmask (one bit per
@@ -42,7 +47,9 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product
+from operator import and_
 
 from .bounds import _log_miss
 from .hypergraph import (
@@ -225,7 +232,19 @@ def exact_capacity(
     than u-1 columns: any u-1 columns, duplicates included, are vacuously
     separating.  The reported nodes can then exceed node_budget by up to the
     depth reached, as each level above the trip counts one more candidate
-    before it sees it.
+    before it sees it.  The search recurses once per chosen column; a family
+    deeper than Python's recursion limit allows raises PreconditionError
+    naming the depth reached.
+
+    A candidate is forbidden by a holed tuple if, in every row where no two
+    parts share a symbol (a good row), it shows a symbol of some member
+    outside the hole.  The leaf keys this test by one vertex mask: the OR of
+    the outside members' vertex masks with the bad rows' q-bit fields
+    cleared.  Every row holds some symbol of the outside members, so the
+    key's nonzero row fields are exactly the good rows, and the forbidden
+    columns are those that show, in each of them, a symbol the key holds.
+    That set depends on the key alone, so its complement is memoized for the
+    call.  Key 0 means every row is bad: it forbids every candidate.
     """
     w = normalize_weights(weights)
     if w.t < 2:
@@ -241,13 +260,27 @@ def exact_capacity(
     start = time.perf_counter()
     u = w.u
     # masks[j]: bit r*q + s set iff column j shows symbol s in row r.
-    # agree[j][r]: the columns that show column j's symbol in row r.
-    columns, masks, agree = _cube(n_rows, q)
+    # incidence[r*q + s]: the columns that show symbol s in row r.
+    columns, masks, _, incidence = _cube(n_rows, q)
     layouts = _holed_layouts(w.weights)
-    sym_mask = (1 << q) - 1
+    everything = (1 << len(columns)) - 1
+    # Each row's q-bit field of a vertex mask: low holds its lowest bit, top
+    # its highest, body the bits below the top.
+    low = sum(1 << (r * q) for r in range(n_rows))
+    top = low << (q - 1)
+    body = top - low
+    # spared[key]: the columns key does not forbid, those that miss all of
+    # key's symbols in some row where it has one (none for key 0).
+    spared = {}
     best: list[int] = []
     nodes = 0
     exact = True
+
+    def spare(key):
+        by_row = {}
+        for v in _bits(key):
+            by_row[v // q] = by_row.get(v // q, 0) | incidence[v]
+        return everything ^ reduce(and_, by_row.values(), everything)
 
     def survivors(chosen, cand):
         # The candidates that complete no unseparated tuple with `chosen`.
@@ -255,49 +288,51 @@ def exact_capacity(
         # through both chosen[-1] and the candidate are examined; the rest
         # were vetted one level up.  Such a tuple minus the candidate is a
         # "holed" tuple from `chosen`: sizes W with one part (the hole) one
-        # short.  A candidate is forbidden if, in every row where no two
-        # parts share a symbol, it shares one with a member outside the hole.
+        # short.  Each holed tuple keeps only spared[key], key being the
+        # vertices of its members outside the hole off its bad rows.
         if len(chosen) < u - 1 or not cand:
             return cand
         col = chosen[-1]
         allowed = cand
 
-        def rec(slots, k, prev, bad, seen, outside, avail):
+        def rec(slots, k, prev, bad, seen, out, avail):
+            # Fill slot k and those after it.  bad holds the q-bit fields of
+            # the rows where two filled parts share a symbol, seen the filled
+            # parts' vertices, out those of the filled parts after the hole
+            # (slot 0).  The last slot is never the hole: its leaves are here.
             nonlocal allowed
-            if k == len(slots):
-                forbidden = allowed
-                for r in range(n_rows):
-                    if not bad >> r & 1:
-                        row_syms = 0
-                        for y in outside:
-                            row_syms |= agree[y][r]
-                        forbidden &= row_syms
-                        if not forbidden:
-                            return
-                allowed &= ~forbidden
-                return
             size, has_col, canonical = slots[k]
-            for combo in combinations(avail, size - has_col):
-                if canonical and combo[0] < prev[0]:
-                    continue
-                part = (col,) + combo if has_col else combo
-                syms = 0
-                for x in part:
+            base = masks[col] if has_col else 0
+            last = k == len(slots) - 1
+            # Equal-size parts ascend by smallest member.
+            pool = [x for x in avail if x > prev[0]] if canonical else avail
+            for combo in combinations(pool, size - has_col):
+                syms = base
+                for x in combo:
                     syms |= masks[x]
-                b = bad
                 shared = syms & seen
                 if shared:
-                    for r in range(n_rows):
-                        if shared >> (r * q) & sym_mask:
-                            b |= 1 << r
-                rest = [x for x in avail if x not in combo]
-                out = outside + part if k else ()  # slot 0 is the hole
-                rec(slots, k + 1, combo, b, seen | syms, out, rest)
+                    # A field's top bit is set iff the field is nonzero:
+                    # adding body carries into it from any lower bit, and
+                    # no carry leaves the field.  Then fill each such field.
+                    hit = ((shared & body) + body | shared) & top
+                    b = bad | (hit << 1) - (hit >> (q - 1))
+                else:
+                    b = bad
+                if last:
+                    key = (out | syms) & ~b
+                    kept = spared.get(key)
+                    if kept is None:
+                        kept = spared[key] = spare(key)
+                    allowed &= kept
+                else:
+                    rest = [x for x in avail if x not in combo]
+                    rec(slots, k + 1, combo, b, seen | syms, out | syms if k else 0, rest)
                 if not allowed:
                     return
 
         for slots in layouts:
-            rec(slots, 0, (), 0, 0, (), chosen[:-1])
+            rec(slots, 0, (), 0, 0, 0, chosen[:-1])
             if not allowed:
                 break
         return allowed
@@ -322,7 +357,13 @@ def exact_capacity(
 
     # Canonical: the all-zero column is index 0.  No root filter: a lone
     # column and a candidate are unseparated only if u = 2 and equal.
-    dfs([0], (1 << len(columns)) - 2)
+    try:
+        dfs([0], (1 << len(columns)) - 2)
+    except RecursionError:
+        raise PreconditionError(
+            f"search depth {len(best)} reached Python's recursion limit"
+            " (the search recurses once per chosen column)"
+        ) from None
     elapsed = time.perf_counter() - start
     # Fewer than u-1 distinct columns exist, or the budget tripped first:
     # u-1 copies of column 0 (all-zero) still have no tuple to violate.
@@ -482,7 +523,7 @@ def rainbow_free_extremal_search(
     if node_budget < 1:
         raise ValueError("need node_budget >= 1")
     q = part_size
-    candidates, vertex_mask, edges_at = _cube(parts, q)
+    candidates, vertex_mask, edges_at, _ = _cube(parts, q)
     n = len(candidates)
     # One bit per vertex pair in distinct parts: two edges share two
     # vertices iff their pair masks meet.

@@ -278,6 +278,27 @@ class TestSearch:
         assert code == 2
         assert "node_budget >= 1" in capsys.readouterr().err
 
+    def test_family_past_the_recursion_limit_exits_2(self, capsys):
+        code, _ = run(["search", "1", "1200", "1,1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: search depth ") and err.count("\n") == 1
+
+    def test_family_of_980_columns_answers(self):
+        # One recursion level per column: 980 fit under the default limit
+        # when the search is entered from a fresh interpreter.
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sephash", "search", "1", "980", "1,1"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert (out["value"], out["exact"]) == (980, True)
+
 
 class TestConstruct:
     def test_identity(self, corpus):

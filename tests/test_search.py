@@ -80,6 +80,10 @@ RAINBOW_FREE_REGRESSION = [
 CAPACITY_BUDGET_TRIPS = [
     (4, 3, (2, 2), 3000, 5, 3002, "4 5 3\n0 0 0 0 0\n0 0 1 1 2\n0 1 0 1 2\n0 1 1 0 2\n"),
     (3, 4, (2, 2), 2000, 8, 2003, "3 8 4\n0 0 1 1 2 2 3 3\n0 1 0 1 2 3 2 3\n0 1 1 0 2 3 3 2\n"),
+    (4, 4, (2, 2), 10_000, 4, 10_002, "4 4 4\n0 0 0 0\n0 0 0 0\n0 0 0 0\n0 1 2 3\n"),
+    (5, 3, (1, 1, 1), 10_000, 10, 10_003, "5 10 3\n0 0 0 0 1 1 1 2 2 2\n0 0 1 2 0 1 2 0 1 2\n0 0 1 2 1 2 0 2 0 1\n0 0 1 2 2 0 1 1 2 0\n0 1 2 2 2 2 2 2 2 2\n"),
+    (4, 4, (1, 1, 2), 10_000, 4, 10_002, "4 4 4\n0 0 0 0\n0 0 0 0\n0 0 0 0\n0 1 2 3\n"),
+    (7, 2, (1, 2), 10_000, 9, 10_004, "7 9 2\n0 0 0 0 0 1 1 1 1\n0 0 0 1 1 0 0 1 1\n0 0 0 1 1 1 1 0 0\n0 0 1 0 1 0 1 0 1\n0 0 1 0 1 1 0 1 0\n0 1 0 0 1 0 1 1 0\n0 1 1 1 0 1 0 0 1\n"),
 ]
 
 # Points checked against the reference searches in helpers, which run a
@@ -306,6 +310,11 @@ class TestExactCapacity:
         assert naive_is_separating(r.witness, weights)
         assert r.witness == witness
 
+    def test_refuses_a_family_deeper_than_the_recursion_limit(self):
+        # {1,1} keeps every column, one recursion level each.
+        with pytest.raises(PreconditionError, match=r"search depth \d+ reached"):
+            exact_capacity(1, 1000, [1, 1])
+
     def test_rejects_oversized_space(self):
         with pytest.raises(ValueError, match="too large"):
             exact_capacity(10, 10, [1, 1])
@@ -513,10 +522,26 @@ def test_closes_cycle_matches_definition(data):
         if len(edges) < 8 and _linear_with(e, edges):
             edges.append(e)
     new = edges.pop(data.draw(st.integers(0, len(edges) - 1)))
-    candidates, vertex_mask, edges_at = _cube(parts, q)
+    candidates, vertex_mask, edges_at, _ = _cube(parts, q)
     chosen = sum(1 << candidates.index(e) for e in edges)
     got = _closes_cycle(candidates.index(new), chosen, ks, q, vertex_mask, edges_at)
     assert got == _brute_cycle_through(new, edges, parts, ks)
+
+
+CAPACITY_TYPES = [(1, 2), (2, 2), (1, 3), (1, 1, 1), (1, 1, 2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.sampled_from(CAPACITY_TYPES),
+    st.integers(1, 300),
+)
+def test_capacity_matches_reference_search(n_rows, q, weights, budget):
+    r = exact_capacity(n_rows, q, weights, node_budget=budget)
+    value, nodes, exact, witness = reference_capacity(n_rows, q, weights, node_budget=budget)
+    assert (r.value, r.nodes, r.exact, r.witness) == (value, nodes, exact, witness)
 
 
 class TestCapacityLaws:
