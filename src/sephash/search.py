@@ -12,7 +12,8 @@ accepts and returns the matrix that last call accepted, with no second call.
 Both exact searches take their candidate space from hypergraph._cube: all
 q**N columns (or edges) in lexicographic order, each with its vertex mask
 and, per row (part), the bitmask of candidates sharing its symbol there.
-Each is one function running one recursive dfs closure.
+exact_capacity runs one loop over an explicit stack, one frame per chosen
+column; rainbow_free_extremal_search runs one recursive dfs closure.
 
 exact_capacity enumerates column sets in canonical form: per-row symbol
 relabeling maps some column of any family to the all-zero column, which is
@@ -29,8 +30,7 @@ the bad rows' fields cleared, and the candidates it forbids are the
 columns that show, in every row where the key has a symbol, one of those
 symbols.  That set depends on the key alone: it is built once per call
 from the per-vertex incidence masks and memoized, so a tuple costs one
-lookup.  The search recurses once per chosen column and refuses, with
-PreconditionError, a family deeper than Python's recursion limit allows.
+lookup.
 
 rainbow_free_extremal_search adds candidate edges in lexicographic order.
 Each edge carries a vertex bitmask and a covered-pair bitmask (one bit per
@@ -232,9 +232,7 @@ def exact_capacity(
     than u-1 columns: any u-1 columns, duplicates included, are vacuously
     separating.  The reported nodes can then exceed node_budget by up to the
     depth reached, as each level above the trip counts one more candidate
-    before it sees it.  The search recurses once per chosen column; a family
-    deeper than Python's recursion limit allows raises PreconditionError
-    naming the depth reached.
+    before it sees it.
 
     A candidate is forbidden by a holed tuple if, in every row where no two
     parts share a symbol (a good row), it shows a symbol of some member
@@ -253,7 +251,8 @@ def exact_capacity(
         raise ValueError("need N >= 1")
     if q < 1:
         raise ValueError("need q >= 1")
-    if q**n_rows > 10_000:
+    # q**14 > 10_000 for every q >= 2: never build a huge q**N to refuse it.
+    if q ** min(n_rows, 14) > 10_000:
         raise ValueError("search space too large: need q**N <= 10000")
     if node_budget < 1:
         raise ValueError("need node_budget >= 1")
@@ -337,33 +336,30 @@ def exact_capacity(
                 break
         return allowed
 
-    def dfs(chosen, cand):
-        nonlocal best, nodes, exact
+    # Each frame: a chosen set, its candidates not yet tried (a bitmask,
+    # tried in ascending order) and how many they are.  Canonical: the
+    # all-zero column is index 0.  No root filter: a lone column and a
+    # candidate are unseparated only if u = 2 and equal.
+    stack = [([0], everything ^ 1, len(columns) - 1)]
+    while stack:
+        chosen, cand, left = stack.pop()
         if len(chosen) > len(best):
             best = chosen
-        left = cand.bit_count()
-        for col in _bits(cand):
-            if len(chosen) + left <= len(best):
-                return
-            left -= 1
-            nodes += 1
-            if nodes >= node_budget:
-                exact = False
-                return
-            # col passed the filter as each chosen column joined: no recheck.
-            cand ^= 1 << col  # now the candidates after col
-            grown = chosen + [col]
-            dfs(grown, survivors(grown, cand))
-
-    # Canonical: the all-zero column is index 0.  No root filter: a lone
-    # column and a candidate are unseparated only if u = 2 and equal.
-    try:
-        dfs([0], (1 << len(columns)) - 2)
-    except RecursionError:
-        raise PreconditionError(
-            f"search depth {len(best)} reached Python's recursion limit"
-            " (the search recurses once per chosen column)"
-        ) from None
+        if len(chosen) + left <= len(best):
+            continue
+        nodes += 1
+        if nodes >= node_budget:
+            # Drop the frame.  Each frame below that resumes past its bound
+            # counts one more node and drops too: the documented over-count.
+            exact = False
+            continue
+        # col passed the filter as each chosen column joined: no recheck.
+        col = (cand & -cand).bit_length() - 1
+        cand ^= 1 << col  # now the candidates after col
+        stack.append((chosen, cand, left - 1))
+        grown = chosen + [col]
+        kept = survivors(grown, cand)
+        stack.append((grown, kept, kept.bit_count()))
     elapsed = time.perf_counter() - start
     # Fewer than u-1 distinct columns exist, or the budget tripped first:
     # u-1 copies of column 0 (all-zero) still have no tuple to violate.
@@ -508,7 +504,9 @@ def rainbow_free_extremal_search(
     nodes can then exceed node_budget by up to the depth reached, as each
     level above the trip counts one more candidate before it sees it.  The
     final result is re-verified from scratch (is_linear_hypergraph,
-    find_rainbow_cycle) before returning.
+    find_rainbow_cycle) before returning.  The search recurses once per
+    chosen edge, at most part_size**2 <= 25 deep: linear edges never share
+    a vertex pair, and parts 0 and 1 have only part_size**2 of them.
     """
     if parts > 6 or part_size > 5:
         raise ValueError("desk-scale search: need parts <= 6 and part_size <= 5")

@@ -102,6 +102,18 @@ class TestVerify:
             "witness": {"member": 2, "cover": [0, 1]},
         }
 
+    # One all-zero row: find_violation and is_cff recurse once per member
+    # of the large part or cover, past the interpreter's recursion limit.
+    @pytest.mark.parametrize("flag, w", [("--type", "1,{}"), ("--cff", "{}")])
+    def test_input_past_the_recursion_limit_exits_2(self, tmp_path, capsys, flag, w):
+        n = sys.getrecursionlimit() + 100
+        path = tmp_path / "zeros.txt"
+        path.write_text(write_matrix(Matrix(((0,) * n,), 2)))
+        code, _ = run(["verify", str(path), flag, w.format(n - 1)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: input too deep for Python's recursion limit\n"
+
     def test_linear_mode(self, corpus):
         code, out = run(["verify", corpus["cycle4.txt"], "--linear"])
         assert code == 0 and out["holds"] is True
@@ -278,18 +290,22 @@ class TestSearch:
         assert code == 2
         assert "node_budget >= 1" in capsys.readouterr().err
 
-    def test_family_past_the_recursion_limit_exits_2(self, capsys):
-        code, _ = run(["search", "1", "1200", "1,1"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: search depth ") and err.count("\n") == 1
+    def test_family_past_the_recursion_limit_answers(self):
+        code, out = run(["search", "1", "1200", "1,1"])
+        assert code == 0
+        assert (out["value"], out["exact"]) == (1200, True)
 
-    def test_family_of_980_columns_answers(self):
-        # One recursion level per column: 980 fit under the default limit
-        # when the search is entered from a fresh interpreter.
+    def test_huge_space_exits_2_at_once(self, capsys):
+        code, _ = run(["search", "1000000000000", "2", "1,1"])
+        assert code == 2
+        assert "too large" in capsys.readouterr().err
+
+    def test_family_of_1200_columns_answers(self):
+        # The search keeps its frames off the interpreter's stack, so a
+        # family past the default recursion limit answers from the CLI.
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
-            [sys.executable, "-m", "sephash", "search", "1", "980", "1,1"],
+            [sys.executable, "-m", "sephash", "search", "1", "1200", "1,1"],
             capture_output=True,
             text=True,
             env=dict(os.environ, PYTHONPATH=str(src)),
@@ -297,7 +313,7 @@ class TestSearch:
         )
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout)
-        assert (out["value"], out["exact"]) == (980, True)
+        assert (out["value"], out["exact"]) == (1200, True)
 
 
 class TestConstruct:

@@ -310,14 +310,41 @@ class TestExactCapacity:
         assert naive_is_separating(r.witness, weights)
         assert r.witness == witness
 
-    def test_refuses_a_family_deeper_than_the_recursion_limit(self):
-        # {1,1} keeps every column, one recursion level each.
-        with pytest.raises(PreconditionError, match=r"search depth \d+ reached"):
-            exact_capacity(1, 1000, [1, 1])
+    # {1,1} keeps every column, so a family is as deep as it is wide.
+    @pytest.mark.parametrize(
+        "budget, value, nodes, exact",
+        [(None, 1200, 1199, True), (1100, 1100, 2199, False)],
+    )
+    def test_family_deeper_than_the_recursion_limit(self, budget, value, nodes, exact):
+        # Past the trip each of the 1099 frames below counts one more node.
+        kwargs = {} if budget is None else {"node_budget": budget}
+        r = exact_capacity(1, 1200, [1, 1], **kwargs)
+        assert (r.value, r.nodes, r.exact) == (value, nodes, exact)
+        assert r.witness.cols == value
+
+    def test_depth_does_not_depend_on_the_recursion_limit(self):
+        script = (
+            "import sys\n"
+            "sys.setrecursionlimit(120)\n"
+            "from sephash.search import exact_capacity\n"
+            "r = exact_capacity(1, 300, [1, 1])\n"
+            "sys.exit(0 if (r.value, r.exact) == (300, True) else 1)\n"
+        )
+        assert _run(script) == 0
 
     def test_rejects_oversized_space(self):
         with pytest.raises(ValueError, match="too large"):
             exact_capacity(10, 10, [1, 1])
+
+    @pytest.mark.parametrize("n_rows", [10**12, 14])
+    def test_rejects_oversized_binary_space(self, n_rows):
+        # 2**(10**12) is never built: the check stops at q**14.
+        with pytest.raises(ValueError, match="too large"):
+            exact_capacity(n_rows, 2, [1, 1])
+
+    def test_accepts_largest_binary_space(self):
+        r = exact_capacity(13, 2, [1, 1], node_budget=1)
+        assert (r.value, r.nodes, r.exact) == (1, 1, False)
 
     @pytest.mark.parametrize("q", [0, -1])
     def test_rejects_alphabet_below_one(self, q):
@@ -586,7 +613,7 @@ class TestCertification:
             "    sys.exit(0 if sys.flags.optimize else 3)\n"
             "sys.exit(1)\n"
         )
-        assert _run_optimized(script) == 0
+        assert _run(script, "-O") == 0
 
     def test_rejected_capacity_witness_raises_under_optimize(self):
         script = (
@@ -600,7 +627,7 @@ class TestCertification:
             "    sys.exit(0 if sys.flags.optimize else 3)\n"
             "sys.exit(1)\n"
         )
-        assert _run_optimized(script) == 0
+        assert _run(script, "-O") == 0
 
     def test_rejected_reed_solomon_agreement_raises_under_optimize(self):
         script = (
@@ -614,11 +641,11 @@ class TestCertification:
             "    sys.exit(0 if sys.flags.optimize else 3)\n"
             "sys.exit(1)\n"
         )
-        assert _run_optimized(script) == 0
+        assert _run(script, "-O") == 0
 
 
-def _run_optimized(script):
-    """Exit code of script run by python -O with this sephash importable."""
+def _run(script, *flags):
+    """Exit code of script run by a fresh interpreter with this sephash importable."""
     src = str(Path(sephash.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60).returncode
+    return subprocess.run([sys.executable, *flags, "-c", script], env=env, timeout=60).returncode
