@@ -171,7 +171,12 @@ def _cmd_construct(args) -> int:
         m = random_shf_alteration(args.N, args.q, weights, seed=args.seed, trials=args.trials)
     else:  # rainbowfree
         lo, _, hi = args.k.partition(":")
-        ks = list(range(int(lo), int(hi or lo) + 1))
+        try:
+            ks = list(range(int(lo), int(hi or lo) + 1))
+        except ValueError:
+            ks = []
+        if not ks:
+            raise ValueError(f"bad --k range {args.k!r}: expected K or LO:HI with LO <= HI")
         result = rainbow_free_extremal_search(args.r, args.q, ks, node_budget=args.budget)
         _emit(result.as_json_dict())
         if args.out:

@@ -28,6 +28,21 @@ from fractions import Fraction
 _MAX_GROUPED_ALPHABET = 2**62
 
 
+def _integer(value, name: str) -> int:
+    """int(value), refused with ValueError unless it equals value.
+
+    A lossy cast (1.7, inf, nan) or a non-number ('3') raises, naming the
+    value as `name`.
+    """
+    try:
+        i = int(value)
+    except (OverflowError, ValueError):  # inf, -inf, nan, non-numeric text
+        i = None
+    if i != value:
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return i
+
+
 class CertificationError(RuntimeError):
     """A result failed the re-check it must pass before being returned."""
 
@@ -132,16 +147,7 @@ class SeparationType:
 
     @classmethod
     def of(cls, weights) -> "SeparationType":
-        ints = []
-        for w in weights:
-            try:
-                i = int(w)
-            except (OverflowError, ValueError):  # inf, -inf, nan
-                i = None
-            if i != w:
-                raise ValueError(f"weight {w!r} is not an integer")
-            ints.append(i)
-        return cls(tuple(sorted(ints)))
+        return cls(tuple(sorted([_integer(w, "weight") for w in weights])))
 
     @classmethod
     def parse(cls, spec: str) -> "SeparationType":

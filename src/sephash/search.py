@@ -13,7 +13,9 @@ Both exact searches take their candidate space from hypergraph._cube: all
 q**N columns (or edges) in lexicographic order, each with its vertex mask
 and, per row (part), the bitmask of candidates sharing its symbol there.
 exact_capacity runs one loop over an explicit stack, one frame per chosen
-column; rainbow_free_extremal_search runs one recursive dfs closure.
+column, the frames' chosen sets all prefixes of one shared path (memory
+linear in the depth); rainbow_free_extremal_search runs one recursive dfs
+closure.
 
 exact_capacity enumerates column sets in canonical form: per-row symbol
 relabeling maps some column of any family to the all-zero column, which is
@@ -33,12 +35,12 @@ from the per-vertex incidence masks and memoized, so a tuple costs one
 lookup.
 
 rainbow_free_extremal_search adds candidate edges in lexicographic order.
-Each edge carries a vertex bitmask and a covered-pair bitmask (one bit per
-vertex pair in distinct parts); the OR of the chosen edges' pair masks
-rejects a candidate sharing two vertices with one of them in a single AND.
-A linear candidate is then tested only for cycles through itself: a path
-from it back to itself over chosen edges, grown through the agreement
-masks of the last edge, whose shared vertices use distinct parts.
+Each node carries its live candidates as one bitmask, as exact_capacity's
+stack frames do.  When an edge joins, two masks leave the child's: the
+candidates sharing two vertices with it (ANDs of its per-part agreement
+masks) and _doomed's, those closing a rainbow cycle through it.  That mask
+is built once per descent by joining pairs of "arms", rainbow paths from
+the new edge over chosen edges, so no candidate is walked on its own.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ from .matrix import (
     CertificationError,
     Matrix,
     _certify,
+    _integer,
     normalize_weights,
     write_matrix,
 )
@@ -336,16 +339,20 @@ def exact_capacity(
                 break
         return allowed
 
-    # Each frame: a chosen set, its candidates not yet tried (a bitmask,
-    # tried in ascending order) and how many they are.  Canonical: the
-    # all-zero column is index 0.  No root filter: a lone column and a
-    # candidate are unseparated only if u = 2 and equal.
-    stack = [([0], everything ^ 1, len(columns) - 1)]
+    # Each frame: the depth of its chosen set, path[:depth], its candidates
+    # not yet tried (a bitmask, tried in ascending order) and how many they
+    # are.  The frames' chosen sets are prefixes of one shared path, as each
+    # frame lies above the shallower ones.  Canonical: the all-zero column
+    # is index 0.  No root filter: a lone column and a candidate are
+    # unseparated only if u = 2 and equal.
+    path = [0]
+    stack = [(1, everything ^ 1, len(columns) - 1)]
     while stack:
-        chosen, cand, left = stack.pop()
-        if len(chosen) > len(best):
-            best = chosen
-        if len(chosen) + left <= len(best):
+        depth, cand, left = stack.pop()
+        del path[depth:]
+        if depth > len(best):
+            best = path[:]
+        if depth + left <= len(best):
             continue
         nodes += 1
         if nodes >= node_budget:
@@ -356,10 +363,10 @@ def exact_capacity(
         # col passed the filter as each chosen column joined: no recheck.
         col = (cand & -cand).bit_length() - 1
         cand ^= 1 << col  # now the candidates after col
-        stack.append((chosen, cand, left - 1))
-        grown = chosen + [col]
-        kept = survivors(grown, cand)
-        stack.append((grown, kept, kept.bit_count()))
+        stack.append((depth, cand, left - 1))
+        path.append(col)
+        kept = survivors(path, cand)
+        stack.append((depth + 1, kept, kept.bit_count()))
     elapsed = time.perf_counter() - start
     # Fewer than u-1 distinct columns exist, or the budget tripped first:
     # u-1 copies of column 0 (all-zero) still have no tuple to violate.
@@ -450,43 +457,58 @@ class RainbowFreeResult:
         }
 
 
-def _closes_cycle(c, chosen, ks, q, vertex_mask, edges_at):
-    """True iff candidate c, linear with the chosen edges, closes a rainbow cycle.
+def _free_part_pairs(parts):
+    """Per bitmask of used parts, the part pairs a < b outside it."""
+    pairs = list(combinations(range(parts), 2))
+    return [
+        [(a, b) for a, b in pairs if not (used >> a | used >> b) & 1]
+        for used in range(1 << parts)
+    ]
 
-    chosen is a bitmask of candidate indices and ks the ascending cycle
-    lengths; vertex_mask and edges_at come from hypergraph._cube, where
-    edges_at[e][p] holds the candidates through edge e's vertex in part p.
-    Linearity leaves consecutive cycle edges exactly one shared vertex, so
-    a rainbow k-cycle through c is a path c -> E1 -> ... -> E(k-1) -> c over
-    distinct chosen edges whose k shared vertices lie in k distinct parts.
-    The path grows through the incidence masks of its last edge's vertices
-    in unused parts, masked to the chosen edges off it.
+
+def _doomed(i, chosen, ks, edges_at, free_pairs):
+    """Candidates that close a rainbow k-cycle, k in ks, through edge i.
+
+    chosen is a bitmask of candidate indices (i not among them) and ks the
+    ascending cycle lengths; edges_at comes from hypergraph._cube, where
+    edges_at[e][p] holds the candidates through edge e's vertex in part p,
+    and free_pairs from _free_part_pairs.  Exact for every candidate c
+    linear with the chosen edges and i, the only ones the search asks
+    about.  Linearity leaves consecutive cycle edges exactly one shared
+    vertex, so a rainbow k-cycle through c and i, with c left out, is a
+    path through i between c's two neighbours.  Split at i, it is two
+    "arms": rainbow paths from i over chosen edges, of lengths summing to
+    k - 2, that share no edge and no part.  c then meets one arm's end in
+    a part a and the other's in a part b, both free.
     """
-    parts = len(edges_at[c])
-    k_max = ks[-1]
-    new_mask = vertex_mask[c]
-
-    def walk(edge, length, used_parts, avail):
-        # Grow the path c, ..., edge (length edges, its length - 1 shared
-        # vertices in used_parts) by one edge of avail through an unused part.
-        for p in range(parts):
-            if used_parts >> p & 1:
-                continue
-            used = used_parts | 1 << p
-            nxt = edges_at[edge][p] & avail
-            while nxt:
-                low = nxt & -nxt
-                nxt ^= low
-                e = low.bit_length() - 1
-                if length + 1 in ks:
-                    shared = vertex_mask[e] & new_mask
-                    if shared and not used >> ((shared.bit_length() - 1) // q) & 1:
-                        return True
-                if length + 1 < k_max and walk(e, length + 1, used, avail ^ low):
-                    return True
-        return False
-
-    return walk(c, 1, 0, chosen)
+    parts = len(edges_at[i])
+    # arms[length]: (end, used parts, edges beyond i) of each arm.
+    arms = [[(i, 0, 0)]]
+    for _ in range(ks[-1] - 2):
+        grown = []
+        for end, used, path in arms[-1]:
+            for p in range(parts):
+                if used >> p & 1:
+                    continue
+                nxt = edges_at[end][p] & chosen & ~path
+                while nxt:
+                    low = nxt & -nxt
+                    nxt ^= low
+                    grown.append((low.bit_length() - 1, used | 1 << p, path | low))
+        arms.append(grown)
+    doomed = 0
+    for k in ks:
+        for short in range((k - 2) // 2 + 1):
+            rest = k - 2 - short
+            for x, (end1, used1, path1) in enumerate(arms[short]):
+                # Equal lengths: each unordered pair of arms once.
+                for end2, used2, path2 in arms[rest][x + 1 :] if short == rest else arms[rest]:
+                    if used1 & used2 or path1 & path2:
+                        continue
+                    at1, at2 = edges_at[end1], edges_at[end2]
+                    for a, b in free_pairs[used1 | used2]:
+                        doomed |= at1[a] & at2[b] | at1[b] & at2[a]
+    return doomed
 
 
 def rainbow_free_extremal_search(
@@ -495,24 +517,35 @@ def rainbow_free_extremal_search(
     """Largest linear hypergraph avoiding rainbow cycles of the given lengths.
 
     Exhaustive subset search over all part_size**parts candidate edges in
-    lexicographic order.  The OR of the chosen edges' covered-pair masks
-    rejects a non-linear candidate in one AND, and a new cycle must pass
-    through the newest edge, so only paths from it back to itself are
-    searched.  The diagonal matching seeds the search, so the result always
-    has at least part_size edges.  node_budget must be at least 1; budget
-    overruns return the best found, flagged uncertified, and the reported
-    nodes can then exceed node_budget by up to the depth reached, as each
-    level above the trip counts one more candidate before it sees it.  The
-    final result is re-verified from scratch (is_linear_hypergraph,
-    find_rainbow_cycle) before returning.  The search recurses once per
-    chosen edge, at most part_size**2 <= 25 deep: linear edges never share
-    a vertex pair, and parts 0 and 1 have only part_size**2 of them.
+    lexicographic order.  Each node keeps `alive`, the candidates after its
+    newest edge that are linear with the chosen edges and close no rainbow
+    cycle with them.  When edge i joins, the child keeps those alive after
+    i that share at most one vertex with i (not in its conflict mask) and
+    close no cycle through i (not in _doomed's mask).  Inheriting `alive`
+    is exact: a candidate that is not linear with, or closes a cycle with,
+    some chosen edges still does once i joins them, and a cycle that i
+    makes possible passes through i.  The diagonal matching seeds the
+    search, so the result always has at least part_size edges.
+    node_budget must be at least 1; budget overruns return the best found,
+    flagged uncertified.
+
+    Nodes count candidates as a loop over every candidate after the newest
+    edge would: one per candidate until the size bound stops it, alive or
+    not.  The loop visits only alive candidates and adds the filtered ones
+    between them to the count arithmetically, so the budget trips at the
+    same candidate.  The reported nodes can exceed node_budget by up to the
+    depth reached, as each level above the trip counts one more candidate
+    before it sees it.  The final result is re-verified from scratch
+    (is_linear_hypergraph, find_rainbow_cycle) before returning.  The
+    search recurses once per chosen edge, at most part_size**2 <= 25 deep:
+    linear edges never share a vertex pair, and parts 0 and 1 have only
+    part_size**2 of them.
     """
     if parts > 6 or part_size > 5:
         raise ValueError("desk-scale search: need parts <= 6 and part_size <= 5")
     if parts < 1 or part_size < 1:
         raise ValueError("need at least one part and one vertex")
-    ks = sorted(set(int(k) for k in k_range))
+    ks = sorted(set(_integer(k, "cycle length") for k in k_range))
     if not ks:
         raise ValueError("need at least one cycle length")
     for k in ks:
@@ -521,39 +554,55 @@ def rainbow_free_extremal_search(
     if node_budget < 1:
         raise ValueError("need node_budget >= 1")
     q = part_size
-    candidates, vertex_mask, edges_at, _ = _cube(parts, q)
+    candidates, _, edges_at, _ = _cube(parts, q)
     n = len(candidates)
-    # One bit per vertex pair in distinct parts: two edges share two
-    # vertices iff their pair masks meet.
-    part_pairs = list(combinations(range(parts), 2))
-    pair_mask = [
-        sum(1 << ((i * q + e[a]) * q + e[b]) for i, (a, b) in enumerate(part_pairs))
-        for e in candidates
-    ]
+    free_pairs = _free_part_pairs(parts)
     # Seed: pairwise disjoint diagonal edges share no vertex, hence no cycle.
     best = [tuple(s for _ in range(parts)) for s in range(q)]
     nodes = 0
     certified = True
 
-    def dfs(start, size, chosen, covered):
-        # chosen: bitmask of the chosen candidates; covered: OR of their pair masks.
-        nonlocal best, nodes, certified
+    def count(k):
+        # Count k more candidates as nodes; True iff the budget trips on one.
+        nonlocal nodes, certified
+        if nodes + k < node_budget:
+            nodes += k
+            return False
+        # The trip lands on the candidate that reaches the budget, or on
+        # the first one counted when a deeper trip already passed it.
+        nodes = max(nodes + 1, node_budget)
+        certified = False
+        return True
+
+    def dfs(newest, size, chosen, alive):
+        # chosen: bitmask of the chosen candidates, newest the highest of
+        # them; alive: the candidates after newest that may join.
+        nonlocal best
         if size > len(best):
             best = [candidates[c] for c in _bits(chosen)]
-        for idx in range(start, n):
-            if size + (n - idx) <= len(best):
+        start = newest + 1
+        while True:
+            # The size bound stops the loop at the first idx >= limit.
+            limit = n + size - len(best)
+            idx = (alive & -alive).bit_length() - 1 if alive else n
+            if idx >= limit:
+                if limit > start:
+                    count(limit - start)
                 return
-            nodes += 1
-            if nodes >= node_budget:
-                certified = False
+            if count(idx + 1 - start):
                 return
-            if pair_mask[idx] & covered or _closes_cycle(
-                idx, chosen, ks, q, vertex_mask, edges_at
-            ):
-                continue
-            dfs(idx + 1, size + 1, chosen | 1 << idx, covered | pair_mask[idx])
+            alive ^= 1 << idx
+            start = idx + 1
+            at = edges_at[idx]
+            conflict = 0
+            for a, b in free_pairs[0]:
+                conflict |= at[a] & at[b]
+            child = alive & ~conflict
+            if child:
+                child &= ~_doomed(idx, chosen, ks, edges_at, free_pairs)
+            dfs(idx, size + 1, chosen | 1 << idx, child)
 
-    dfs(0, 0, 0, 0)
+    dfs(-1, 0, 0, (1 << n) - 1)
     h = PartiteHypergraph(parts, q, tuple(best))
     _certify(is_linear_hypergraph(h), "hypergraph is linear")
     for k in ks:

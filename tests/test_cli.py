@@ -374,6 +374,14 @@ class TestConstruct:
         assert code == 2
         assert "node_budget >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", [":4", "3:x", "three", "4:3"])
+    def test_rainbowfree_bad_k_names_the_option(self, capsys, spec):
+        code, _ = run(["construct", "rainbowfree", "4", "2", "--k", spec])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"bad --k range {spec!r}" in err
+        assert len(err.splitlines()) == 1
+
 
 class TestConvert:
     def test_group_rows(self, corpus):

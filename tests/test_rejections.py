@@ -92,6 +92,9 @@ REJECTIONS = [
     ("random_shf_alteration trials<1", lambda: random_shf_alteration(2, 3, [1, 1], seed=0, trials=0), ValueError, "trials >= 1"),
     ("rainbow_free_extremal_search no parts", lambda: rainbow_free_extremal_search(0, 2, [3]), ValueError, "at least one part"),
     ("rainbow_free_extremal_search no lengths", lambda: rainbow_free_extremal_search(3, 2, []), ValueError, "at least one cycle length"),
+    ("rainbow_free_extremal_search lossy length", lambda: rainbow_free_extremal_search(3, 2, [3.7]), ValueError, "cycle length 3.7 is not an integer"),
+    ("rainbow_free_extremal_search text length", lambda: rainbow_free_extremal_search(3, 2, ["3"]), ValueError, "cycle length '3' is not an integer"),
+    ("rainbow_free_extremal_search nan length", lambda: rainbow_free_extremal_search(3, 2, [float("nan")]), ValueError, "cycle length nan is not an integer"),
     # verification.py
     ("find_violation lossy weights", lambda: find_violation(BINARY, [1.7, 2]), ValueError, "weight 1.7 is not an integer"),
 ]

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations, permutations, product
 from pathlib import Path
 
@@ -16,7 +17,8 @@ from sephash.matrix import Matrix, write_matrix
 from sephash.search import (
     CapacityResult,
     CertificationError,
-    _closes_cycle,
+    _doomed,
+    _free_part_pairs,
     cyclic_overlap_matrix,
     exact_capacity,
     identity_construction,
@@ -86,28 +88,40 @@ CAPACITY_BUDGET_TRIPS = [
     (7, 2, (1, 2), 10_000, 9, 10_004, "7 9 2\n0 0 0 0 0 1 1 1 1\n0 0 0 1 1 0 0 1 1\n0 0 0 1 1 1 1 0 0\n0 0 1 0 1 0 1 0 1\n0 0 1 0 1 1 0 1 0\n0 1 0 0 1 0 1 1 0\n0 1 1 1 0 1 0 0 1\n"),
 ]
 
-# Points checked against the reference searches in helpers, which run a
-# whole-matrix check per candidate per node (about 0.05-0.7 ms a node).  The
-# regression points below 2,000 (capacity) or 10,000 (rainbow-free) nodes,
-# plus one tripped budget each, take about 3 s together; the four larger
-# capacity points would add about 16 s, and the tripped rainbow-free points
-# of 20,000 nodes or more take over a second each.
-REFERENCE_CAPACITY_POINTS = [
-    (n_rows, q, weights, None)
-    for n_rows, q, weights, _, nodes, *_ in CAPACITY_REGRESSION
-    if nodes < 2000
-] + [(5, 2, (2, 2), 300)]
-REFERENCE_RAINBOW_FREE_POINTS = [
-    (parts, q, ks, budget)
-    for parts, q, ks, budget, _, nodes, _ in RAINBOW_FREE_REGRESSION
-    if nodes < 10_000
-] + [(4, 3, (3,), 300)]
-
-NAIVE_POINTS = [(2, 2, (1, 1)), (3, 2, (1, 2)), (3, 2, (2, 2)), (2, 3, (1, 2))]
-
 
 def _point_id(n_rows, q, weights):
     return f"{n_rows}-{q}-" + ",".join(map(str, weights))
+
+
+def _reference_point(point_id, *row, slow=False):
+    return pytest.param(*row, id=point_id(*row), marks=pytest.mark.slow if slow else ())
+
+
+def _capacity_id(n_rows, q, weights, budget):
+    return f"{_point_id(n_rows, q, weights)}-{budget}"
+
+
+def _rainbow_free_id(parts, q, ks, budget):
+    return f"{parts}-{q}-{','.join(map(str, ks))}-{budget}"
+
+
+# Points checked against the reference searches in helpers, which run a
+# whole-matrix check per candidate per node (about 0.05-0.7 ms a node).  The
+# regression points below 2,000 (capacity) or 10,000 (rainbow-free) nodes,
+# plus one tripped budget each, take about 3 s together.  The larger points
+# are marked slow (deselected by default; run them with `pytest -m slow`):
+# the four capacity points of 2,794-12,196 nodes take about 20 s, the eight
+# tripped rainbow-free points of 20,000 nodes or more about 30 s.
+REFERENCE_CAPACITY_POINTS = [
+    _reference_point(_capacity_id, n_rows, q, weights, None, slow=nodes >= 2000)
+    for n_rows, q, weights, _, nodes, *_ in CAPACITY_REGRESSION
+] + [_reference_point(_capacity_id, 5, 2, (2, 2), 300)]
+REFERENCE_RAINBOW_FREE_POINTS = [
+    _reference_point(_rainbow_free_id, parts, q, ks, budget, slow=nodes >= 10_000)
+    for parts, q, ks, budget, _, nodes, _ in RAINBOW_FREE_REGRESSION
+] + [_reference_point(_rainbow_free_id, 4, 3, (3,), 300)]
+
+NAIVE_POINTS = [(2, 2, (1, 1)), (3, 2, (1, 2)), (3, 2, (2, 2)), (2, 3, (1, 2))]
 
 
 class TestIdentityConstruction:
@@ -300,7 +314,6 @@ class TestExactCapacity:
     @pytest.mark.parametrize(
         "n_rows, q, weights, budget",
         REFERENCE_CAPACITY_POINTS,
-        ids=[f"{_point_id(*row[:3])}-{row[3]}" for row in REFERENCE_CAPACITY_POINTS],
     )
     def test_matches_reference_search(self, n_rows, q, weights, budget):
         kwargs = {} if budget is None else {"node_budget": budget}
@@ -321,6 +334,18 @@ class TestExactCapacity:
         r = exact_capacity(1, 1200, [1, 1], **kwargs)
         assert (r.value, r.nodes, r.exact) == (value, nodes, exact)
         assert r.witness.cols == value
+
+    def test_wide_family_memory_is_linear_in_its_depth(self):
+        # The frames share one path.  Under CPython 3.11 a copy of the
+        # chosen set per frame peaked at 11.8 MB, one shared path at 1.6 MB.
+        tracemalloc.start()
+        try:
+            r = exact_capacity(2, 40, [1, 1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (r.value, r.nodes, r.exact) == (1600, 1599, True)
+        assert peak < 4_000_000
 
     def test_depth_does_not_depend_on_the_recursion_limit(self):
         script = (
@@ -498,7 +523,6 @@ class TestRainbowFreeSearch:
     @pytest.mark.parametrize(
         "parts, q, ks, budget",
         REFERENCE_RAINBOW_FREE_POINTS,
-        ids=[f"{p}-{q}-{','.join(map(str, ks))}-{b}" for p, q, ks, b in REFERENCE_RAINBOW_FREE_POINTS],
     )
     def test_matches_reference_search(self, parts, q, ks, budget):
         kwargs = {} if budget is None else {"node_budget": budget}
@@ -510,19 +534,26 @@ class TestRainbowFreeSearch:
         with pytest.raises(ValueError):
             rainbow_free_extremal_search(7, 2, [3])
 
+    def test_accepts_lengths_an_int_equals(self):
+        r = rainbow_free_extremal_search(3, 2, [3.0])
+        assert r.as_json_dict() == rainbow_free_extremal_search(3, 2, [3]).as_json_dict()
+
     def test_rejects_bad_lengths(self):
         with pytest.raises(ValueError):
             rainbow_free_extremal_search(4, 2, [2])
 
 
-def _brute_cycle_through(new, edges, parts, ks):
+def _brute_cycle_through(new, edges, parts, ks, via=None):
     """True iff a rainbow k-cycle, k in ks, runs through new and distinct `edges`.
 
     From the definition: consecutive edges (cyclically) share a vertex, and
     one shared vertex per consecutive pair can be picked in k distinct parts.
+    With via given, only cycles that also run through via count.
     """
     for k in ks:
         for seq in permutations(edges, k - 1):
+            if via is not None and via not in seq:
+                continue
             cycle = [new, *seq]
             shared = [
                 [p for p in range(parts) if cycle[i - 1][p] == cycle[i][p]] for i in range(k)
@@ -538,7 +569,9 @@ def _linear_with(e, edges):
 
 @settings(max_examples=120, deadline=None)
 @given(st.data())
-def test_closes_cycle_matches_definition(data):
+def test_doomed_matches_definition(data):
+    # Every candidate linear with the chosen edges and i is in _doomed's
+    # mask iff a rainbow cycle runs through it and i.
     parts = data.draw(st.integers(3, 6))
     q = data.draw(st.integers(2, 4))
     ks = tuple(sorted(data.draw(st.sets(st.integers(3, parts), min_size=1))))
@@ -548,11 +581,41 @@ def test_closes_cycle_matches_definition(data):
     for e in pool:
         if len(edges) < 8 and _linear_with(e, edges):
             edges.append(e)
-    new = edges.pop(data.draw(st.integers(0, len(edges) - 1)))
-    candidates, vertex_mask, edges_at, _ = _cube(parts, q)
-    chosen = sum(1 << candidates.index(e) for e in edges)
-    got = _closes_cycle(candidates.index(new), chosen, ks, q, vertex_mask, edges_at)
-    assert got == _brute_cycle_through(new, edges, parts, ks)
+    i = edges[data.draw(st.integers(0, len(edges) - 1))]
+    candidates, _, edges_at, _ = _cube(parts, q)
+    chosen = sum(1 << candidates.index(e) for e in edges if e != i)
+    doomed = _doomed(candidates.index(i), chosen, ks, edges_at, _free_part_pairs(parts))
+    for c, e in enumerate(candidates):
+        if e not in edges and _linear_with(e, edges):
+            assert (doomed >> c & 1) == _brute_cycle_through(e, edges, parts, ks, via=i)
+
+
+def test_doomed_needs_edge_disjoint_arms():
+    # Arms i-E-G (parts 0, 3) and i-B-E (parts 1, 2) use disjoint parts
+    # but share E, and j meets G in part 4 and E in part 5.  The walk
+    # j, G, E, i, B, E repeats E: five edges hold no rainbow 6-cycle.
+    i, e, b, g = (0,) * 6, (0, 1, 1, 1, 1, 1), (1, 0, 1, 2, 2, 2), (2, 2, 2, 1, 3, 3)
+    j = (3, 3, 3, 3, 3, 1)
+    assert _linear_with(j, [i, e, b, g])
+    assert not _brute_cycle_through(j, [i, e, b, g], 6, (6,), via=i)
+    candidates, _, edges_at, _ = _cube(6, 4)
+    chosen = sum(1 << candidates.index(x) for x in (e, b, g))
+    doomed = _doomed(candidates.index(i), chosen, (6,), edges_at, _free_part_pairs(6))
+    assert not doomed >> candidates.index(j) & 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(3, 4),
+    st.integers(2, 3),
+    st.data(),
+    st.integers(1, 300),
+)
+def test_rainbow_free_matches_reference_search(parts, q, data, budget):
+    ks = sorted(data.draw(st.sets(st.integers(3, parts), min_size=1)))
+    r = rainbow_free_extremal_search(parts, q, ks, node_budget=budget)
+    edges, nodes, certified = reference_rainbow_free(parts, q, ks, node_budget=budget)
+    assert (list(r.hypergraph.edges), r.nodes, r.certified) == (edges, nodes, certified)
 
 
 CAPACITY_TYPES = [(1, 2), (2, 2), (1, 3), (1, 1, 1), (1, 1, 2)]
