@@ -13,14 +13,22 @@ W-separating.  This module evaluates every bound the library knows about:
 * the probabilistic lower bound, flagged as a lower bound.
 
 The row separation polynomial is the permanent of the t x t matrix
-A[i][j] = p_j**(w_i - 1).  Its value and gradient come from dynamic
-programs over column subsets in O(2**t * t) steps, not from the t! terms
-of its expansion, and every term they add is nonnegative.  The Johnson-type
-recursion depends on the type only through its total weight u, and it has
-a closed form: for q >= 2 and N >= u-1 it equals the balanced-grouping
-value r * q**ceil(N/(u-1)) + (u-1-r) * q**floor(N/(u-1)), because q**x is
-convex and the steps whose tail falls below u-2 rows never win (the proof
-is in _johnson_value); for q = 1 and N >= u it is u.
+A[i][j] = p_j**(w_i - 1).  Its value and gradient come from dynamic programs
+over column subsets in O(2**t * t) steps, not from the t! terms of its
+expansion, and every term they add is nonnegative.  Both programs run as
+straight-line functions, generated from the subset schedule once per part
+count t (the permanent table) and once per exponent tuple (the gradient),
+compiled under names such as "<sephash permanent t=5>" and held in bounded
+caches; their source is built from those integers alone.  They perform the
+loop forms' multiplies and adds in the loop forms' order, so on the simplex
+their results agree bit for bit.  That order is fixed on purpose: float
+addition is not associative, and a last-bit change in the objective moves
+the maximizer's accept and reject decisions, hence the maxima it reports.
+The Johnson-type recursion depends on the type only through its total
+weight u, and it has a closed form: for q >= 2 and N >= u-1 it equals the
+balanced-grouping value r * q**ceil(N/(u-1)) + (u-1-r) * q**floor(N/(u-1)),
+because q**x is convex and the steps whose tail falls below u-2 rows never
+win (the proof is in _johnson_value); for q = 1 and N >= u it is u.
 
 Integer arithmetic is arbitrary precision; real-valued results are double
 precision and flagged "real-valued", and a real-valued upper bound past the
@@ -35,8 +43,8 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from operator import mul, sub
+from functools import lru_cache, reduce
+from operator import add, mul, sub
 
 from .matrix import SeparationType, _certify, normalize_weights
 
@@ -381,7 +389,8 @@ def perfect_hash_upper_bound(n_rows: float, q: int, t: int) -> BoundResult:
         raise ValueError("need t >= 2")
     if q < t:
         raise ValueError("need q >= t")
-    if n_rows < 0:
+    # Written so that NaN fails it too.
+    if not n_rows >= 0:
         raise ValueError("need N >= 0")
     best = INF
     best_j = 0
@@ -416,38 +425,104 @@ def _subset_steps(t: int) -> tuple:
     return tuple(steps)
 
 
-def _subset_permanents(rows) -> list[float]:
-    """f[S] = the permanent of the first |S| rows on the columns in S."""
-    f = [1.0] * (1 << len(rows))
-    for s, k, drops in _subset_steps(len(rows)):
-        row = rows[k]
-        acc = 0.0
+def _compile_kernel(source: str, name: str, filename: str):
+    """The function `name` defined by generated `source`, compiled under `filename`."""
+    namespace: dict = {}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
+
+
+@lru_cache(maxsize=16)
+def _permanent_kernel(t: int):
+    """Straight-line form of the subset dynamic program for t rows.
+
+    The generated function takes t rows of length t and returns the list f
+    with f[S] = the permanent of the first |S| rows on the columns in S.
+    Each f[S] is the sum over the j in S, ascending, of f[S - j] * A[k][j]
+    with k = |S| - 1, added left to right: the order of _subset_steps.
+    The sums start from their first term, not from 0.0, which changes no
+    bit unless every term is -0.0; that needs a negative coordinate.
+    """
+    lines = [
+        "def permanents(rows):",
+        "    " + "".join(f"({', '.join(f'a{k}_{j}' for j in range(t))},), " for k in range(t)) + "= rows",
+        "    f0 = 1.0",
+    ]
+    for s, k, drops in _subset_steps(t):
+        lines.append(f"    f{s} = " + " + ".join(f"f{rest} * a{k}_{j}" for j, rest in drops))
+    lines.append("    return [" + ", ".join(f"f{s}" for s in range(1 << t)) + "]")
+    return _compile_kernel("\n".join(lines) + "\n", "permanents", f"<sephash permanent t={t}>")
+
+
+@lru_cache(maxsize=64)
+def _gradient_kernel(exps: tuple[int, ...]):
+    """Straight-line gradient of the permanent for one exponent tuple.
+
+    The generated function takes the point, f from _rate_forward and g, the
+    permanent table of the reversed rows, and returns the gradient that
+    _rate_grad documents.  Each d/dp_j sums f[S - j] * p_j**(e-1) * scale,
+    with e = exps[|S|-1] and scale = e * g[~S], over the S containing j in
+    ascending order, added left to right; the powers p_j**(e-1) are taken
+    once per exponent, and factors that are exactly 1.0 are left out.  As
+    in _permanent_kernel, the sums start from their first term.
+    """
+    t = len(exps)
+    full = (1 << t) - 1
+    lines = ["def gradient(point, f, g):"]
+    # Power names by exponent e: p_j**(e-1), for the e whose factor is not 1.
+    powers = {e: f"w{i}_" for i, e in enumerate(sorted({e for e in exps if e not in (0, 1)}))}
+    if powers:
+        lines.append("    " + ", ".join(f"p{j}" for j in range(t)) + ", = point")
+    for e, name in powers.items():
+        lines += [f"    {name}{j} = p{j} ** {e - 1:d}" for j in range(t)]
+    terms: list[list[str]] = [[] for _ in range(t)]
+    for s, k, drops in _subset_steps(t):
+        e = exps[k]
+        if not e:
+            continue
+        # scale = e * g[~S]; g[0] is 1.0, and 1 * x is x.
+        rest_of = full ^ s
+        if rest_of == 0:
+            scale = [] if e == 1 else [f"{e:d}.0"]
+        elif e == 1:
+            scale = [f"g[{rest_of}]"]
+        else:
+            lines.append(f"    s{s} = {e:d} * g[{rest_of}]")
+            scale = [f"s{s}"]
         for j, rest in drops:
-            acc += f[rest] * row[j]
-        f[s] = acc
-    return f
+            power = [f"{powers[e]}{j}"] if e in powers else []
+            terms[j].append(" * ".join([f"f[{rest}]", *power, *scale]))
+    sums = [" + ".join(column) or "0.0" for column in terms]
+    lines.append("    return [" + ", ".join(sums) + "]")
+    return _compile_kernel("\n".join(lines) + "\n", "gradient", f"<sephash gradient exps={exps}>")
 
 
 def _rate_forward(exps, point) -> tuple[float, list[float], list[list[float]]]:
     """Permanent of A[i][j] = point[j]**exps[i] by a subset dynamic program.
 
-    The permanent is f[all columns], with f from _subset_permanents, at
+    The permanent is f[all columns], with f from _permanent_kernel, at
     O(2**t * t) cost.  Every term is nonnegative on the simplex, so nothing
     cancels.  Ryser's inclusion-exclusion formula costs the same but does
     cancel: at random simplex points with t <= 6 it was off by up to 2e-4
     relative to the exact rational value, where this recursion stays within
     5e-16.  Returns the value together with f and A, which the gradient
-    reuses.
+    reuses; equal consecutive exponents share one row of A.
     """
-    rows = [[x**e for x in point] for e in exps]
-    f = _subset_permanents(rows)
+    rows = []
+    last = None
+    for e in exps:
+        if e != last:
+            row = [x**e for x in point]
+            last = e
+        rows.append(row)
+    f = _permanent_kernel(len(rows))(rows)
     return f[-1], f, rows
 
 
 def _rate_grad(exps, point, f, rows) -> list[float]:
     """Gradient of the permanent, from _rate_forward's f and A at `point`.
 
-    A permanent does not depend on row order, so g = _subset_permanents of
+    A permanent does not depend on row order, so g = the permanent table of
     the reversed rows gives g[T], the permanent of the last |T| rows on the
     columns in T.  Row i placed on column j splits every permutation into
     the first i rows on some S without j and the last t-1-i rows on the
@@ -456,18 +531,8 @@ def _rate_grad(exps, point, f, rows) -> list[float]:
     where dA[i][j] = exps[i] * point[j]**(exps[i]-1) (zero when exps[i] = 0).
     Also O(2**t * t).
     """
-    t = len(exps)
-    g = _subset_permanents(rows[::-1])
-    full = (1 << t) - 1
-    grad = [0.0] * t
-    for s, k, drops in _subset_steps(t):
-        e = exps[k]
-        if e:
-            scale = e * g[full ^ s]
-            lower = e - 1
-            for j, rest in drops:
-                grad[j] += f[rest] * point[j] ** lower * scale
-    return grad
+    g = _permanent_kernel(len(rows))(rows[::-1])
+    return _gradient_kernel(tuple(exps))(point, f, g)
 
 
 def separation_rate(weights, point) -> float:
@@ -533,9 +598,9 @@ def equal_weight_max_rate(t: int, w: int) -> float:
 
 
 # Largest t max_separation_rate accepts, kept on measured cost: t = 7
-# ({2,2,2,2,2,2,3}) takes 0.5 s and t = 8 equal weights 1.0 s per
-# maximization (Python 3.11, one core of a 2-core Xeon VM), and each
-# further part more than doubles the kernel's cost.
+# ({2,2,2,2,2,2,3}) takes about 0.13 s and t = 8 equal weights about 0.3 s
+# per maximization (Python 3.11, one core of a 2-core Xeon VM), and each
+# further part more than doubles the kernels' cost.
 _MAX_RATE_PARTS = 8
 
 _RATE_TOLERANCE = 1e-9
@@ -573,9 +638,13 @@ def _ascend(exps, start) -> tuple[list[float], float, int, bool]:
         # Oscillation damping: a gradient opposing the last move means
         # the step overshot the ridge, so shrink before moving again.
         if last_move is not None:
-            if sum(map(mul, grad, last_move)) < 0.0:
+            if reduce(add, map(mul, grad, last_move)) < 0.0:
                 step *= 0.25
-        cand = _project_simplex([x + step * d for x, d in zip(p, direction)])
+        # At a full step x + 1.0*d is exactly x + d, already projected.
+        if step == 1.0:
+            cand = moved
+        else:
+            cand = _project_simplex([x + step * d for x, d in zip(p, direction)])
         fc, fc_f, fc_rows = _rate_forward(exps, cand)
         if fc > fp:
             last_move = list(map(sub, cand, p))
@@ -625,7 +694,7 @@ def max_separation_rate(weights) -> SimplexMax:
     starts: list[list[float]] = [[1.0 / t] * t, [0.9] + [0.1 / (t - 1)] * (t - 1)]
     while len(starts) < 9 * t + 1:
         draw = [rng.gammavariate(1.0, 1.0) for _ in range(t)]
-        total = sum(draw)
+        total = reduce(add, draw)
         starts.append([x / total for x in draw])
 
     best_point, best_value = starts[0], -INF
@@ -639,7 +708,7 @@ def max_separation_rate(weights) -> SimplexMax:
             best_value = fp
             best_point = p
     point = tuple(sorted(best_point))
-    total = sum(point)
+    total = reduce(add, point)
     point = tuple(x / total for x in point)
     return SimplexMax(point, best_value, len(starts), total_iters, converged)
 

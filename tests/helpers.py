@@ -8,11 +8,12 @@ that the one-pass kernel's certificates must match exactly; likewise the
 reference rainbow-cycle search is the earlier find_rainbow_cycle, which
 assigns parts to each closed edge sequence by backtracking.  The bound
 engine's references are the earlier separation polynomial and gradient,
-which sum all t! permutations, and the earlier Johnson-type dynamic
-program, which scans every step length.  The text-path references are the
-earlier parse_matrix, the earlier write_matrix, which prints each entry with
-str(), and the entry loop of the earlier Matrix.__post_init__; group_rows's
-is its earlier per-entry digit loop.  The special-column greedy's reference
+which sum all t! permutations, the interpreted subset dynamic programs that
+the generated straight-line kernels must equal bit for bit, and the earlier
+Johnson-type dynamic program, which scans every step length.  The text-path
+references are the earlier parse_matrix, the earlier write_matrix, which
+prints each entry with str(), and the entry loop of the earlier
+Matrix.__post_init__; group_rows's is its earlier per-entry digit loop.  The special-column greedy's reference
 recounts every row's sharers after each deletion, and the threshold's
 quadratic piece is checked against decimal arithmetic carried well past
 the digits of its value.  Pairwise column agreement is checked against the
@@ -32,7 +33,7 @@ from itertools import combinations, permutations, product
 from operator import eq
 import random
 
-from sephash.bounds import INF, _decrement_weight
+from sephash.bounds import INF, _decrement_weight, _subset_steps
 from sephash.hypergraph import (
     PartiteHypergraph,
     RainbowCycle,
@@ -514,6 +515,34 @@ def reference_rate_grad(exps, point) -> list[float]:
                 if k != i:
                     rest *= vals[k]
             grad[perm[i]] += e * point[perm[i]] ** (e - 1) * rest
+    return grad
+
+
+def reference_subset_permanents(rows) -> list[float]:
+    """The earlier interpreted subset dynamic program: f[S] over the first |S| rows."""
+    f = [1.0] * (1 << len(rows))
+    for s, k, drops in _subset_steps(len(rows)):
+        row = rows[k]
+        acc = 0.0
+        for j, rest in drops:
+            acc += f[rest] * row[j]
+        f[s] = acc
+    return f
+
+
+def reference_subset_rate_grad(exps, point, f, rows) -> list[float]:
+    """The earlier interpreted gradient loop over the subset tables f and g."""
+    t = len(exps)
+    g = reference_subset_permanents(rows[::-1])
+    full = (1 << t) - 1
+    grad = [0.0] * t
+    for s, k, drops in _subset_steps(t):
+        e = exps[k]
+        if e:
+            scale = e * g[full ^ s]
+            lower = e - 1
+            for j, rest in drops:
+                grad[j] += f[rest] * point[j] ** lower * scale
     return grad
 
 

@@ -23,9 +23,12 @@ from sephash.bounds import (
     PROV_JOHNSON,
     PROV_NIU_CAO,
     PROV_SMALL_ALPHABET,
+    _MAX_RATE_PARTS,
     _ascend,
+    _gradient_kernel,
     _johnson_value,
     _log_miss,
+    _permanent_kernel,
     _rate_forward,
     _rate_grad,
     all_distinct_probability,
@@ -46,7 +49,13 @@ from sephash.bounds import (
     trung_bound,
     vacuous_lower_bound,
 )
-from helpers import reference_johnson_value, reference_rate_grad, reference_rate_value
+from helpers import (
+    reference_johnson_value,
+    reference_rate_grad,
+    reference_rate_value,
+    reference_subset_permanents,
+    reference_subset_rate_grad,
+)
 
 
 def weight_multisets(max_u, min_t=2):
@@ -355,10 +364,10 @@ def _close(got, want):
 
 
 @st.composite
-def rate_cases(draw):
-    """Exponents 0-4 (weights 1-5) and a simplex point that may hold zeros."""
-    t = draw(st.integers(2, 6))
-    exps = tuple(draw(st.lists(st.integers(0, 4), min_size=t, max_size=t)))
+def rate_cases(draw, max_t=6, max_exp=4):
+    """2-max_t parts, exponents 0-max_exp and a simplex point that may hold zeros."""
+    t = draw(st.integers(2, max_t))
+    exps = tuple(draw(st.lists(st.integers(0, max_exp), min_size=t, max_size=t)))
     counts = draw(st.lists(st.integers(0, 1000), min_size=t, max_size=t))
     total = sum(counts) or 1
     return exps, tuple(c / total for c in counts)
@@ -379,6 +388,31 @@ def test_rate_kernel_matches_permutation_sum(case):
     assert len(grad) == len(want)
     for got_j, want_j in zip(grad, want):
         assert _close(got_j, want_j), (grad, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=rate_cases(max_t=_MAX_RATE_PARTS, max_exp=7))
+@example(case=((0, 0), (0.0, 0.0)))
+@example(case=((7, 0), (0.0, 1.0)))
+@example(case=((1, 1, 2, 4), (0.2, 0.2, 0.2, 0.4)))
+@example(case=((3, 0, 1, 7, 2, 1, 0, 5), (0.0, 0.1, 0.2, 0.0, 0.3, 0.1, 0.0, 0.3)))
+def test_rate_kernels_equal_loop_forms_bit_for_bit(case):
+    # The generated kernels keep every multiply and add of the loops in
+    # their order, so the maximizer's trajectory does not move at all.
+    exps, point = case
+    value, f, rows = _rate_forward(exps, point)
+    want_f = reference_subset_permanents([[x**e for x in point] for e in exps])
+    assert f == want_f
+    assert value == want_f[-1]
+    assert _rate_grad(exps, point, f, rows) == reference_subset_rate_grad(exps, point, f, rows)
+
+
+def test_kernels_compiled_once_under_descriptive_names():
+    assert _permanent_kernel(5) is _permanent_kernel(5)
+    assert _permanent_kernel(5).__code__.co_filename == "<sephash permanent t=5>"
+    exps = (1, 1, 2, 4)
+    assert _gradient_kernel(exps) is _gradient_kernel(exps)
+    assert _gradient_kernel(exps).__code__.co_filename == "<sephash gradient exps=(1, 1, 2, 4)>"
 
 
 @settings(max_examples=100, deadline=None)
@@ -422,6 +456,14 @@ PINNED_MAXIMA = {
 }
 
 
+# Iterations summed over the 9*t + 1 starts, and the maximum's exact bits.
+PINNED_TRAJECTORIES = {
+    (2, 2, 3, 5): (4522, "0x1.8318c20fcf0edp-12"),
+    (2, 3, 3, 4, 5): (2045, "0x1.07e1fe91b0b95p-21"),
+    (2, 2, 2, 3, 3): (1990, "0x1.92a737110e462p-10"),
+}
+
+
 @lru_cache(maxsize=None)
 def _maximum(weights):
     return max_separation_rate(weights)
@@ -438,6 +480,14 @@ class TestSimplexPinned:
     @pytest.mark.parametrize("weights", [(2, 2, 3, 5), (2, 3, 3, 4, 5), (2, 2, 2, 3, 3)])
     def test_converged_when_every_start_stops(self, weights):
         assert _maximum(weights).converged is True
+
+    @pytest.mark.parametrize("weights", sorted(PINNED_TRAJECTORIES))
+    def test_pinned_trajectory(self, weights):
+        # Any reordered float operation moves the iteration count or the
+        # last bits of the value, which the 1e-9 pins above would miss.
+        iterations, value_hex = PINNED_TRAJECTORIES[weights]
+        r = _maximum(weights)
+        assert (r.iterations, r.value.hex()) == (iterations, value_hex)
 
     @pytest.mark.parametrize("weights", sorted(PINNED_MAXIMA))
     def test_vertex_starts_are_one_orbit(self, weights):
@@ -458,6 +508,7 @@ class TestSimplexPinned:
         # of the 19 starts run into _RATE_MAX_ITERATIONS: 180,001 iterations.
         r = max_separation_rate([2, 4])
         assert r.converged is False
+        assert r.iterations == 180_001
         assert r.value == pytest.approx(0.125, abs=1e-12)
 
 

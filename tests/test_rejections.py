@@ -54,6 +54,7 @@ REJECTIONS = [
     ("prob_lower_bound u<2", lambda: prob_lower_bound(3, 2, [1]), ValueError, "need u >= 2"),
     ("perfect_hash_upper_bound t<2", lambda: perfect_hash_upper_bound(3, 2, 1), ValueError, "need t >= 2"),
     ("perfect_hash_upper_bound N<0", lambda: perfect_hash_upper_bound(-1, 3, 2), ValueError, "need N >= 0"),
+    ("perfect_hash_upper_bound N nan", lambda: perfect_hash_upper_bound(float("nan"), 3, 3), ValueError, "need N >= 0"),
     ("separation_rate point length", lambda: separation_rate([1, 2], [1.0]), ValueError, "point length"),
     ("equal_weight_max_rate t<2", lambda: equal_weight_max_rate(1, 2), ValueError, "need t >= 2"),
     ("equal_weight_max_rate w<2", lambda: equal_weight_max_rate(2, 1), ValueError, "need w >= 2"),
