@@ -713,6 +713,12 @@ def max_separation_rate(weights) -> SimplexMax:
     return SimplexMax(point, best_value, len(starts), total_iters, converged)
 
 
+@lru_cache(maxsize=64)
+def _optimizer_rate(w: SeparationType) -> float:
+    """max_separation_rate(w).value, kept per type: it depends on w alone."""
+    return max_separation_rate(w).value
+
+
 def small_alphabet_bound(n_rows: int, t: int, weights) -> BoundResult:
     """Reduction bound for q = t and every weight at least 2.
 
@@ -737,7 +743,7 @@ def small_alphabet_bound(n_rows: int, t: int, weights) -> BoundResult:
         rate = equal_weight_max_rate(t, w.weights[0])
         rate_route = "closed-form"
     else:
-        rate = max_separation_rate(w).value
+        rate = _optimizer_rate(w)
         rate_route = "optimizer"
     phf = perfect_hash_upper_bound(rate * n_rows, t, t)
     return _upper(

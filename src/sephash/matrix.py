@@ -16,6 +16,13 @@ Lines starting with '#' are comments and are ignored (blank lines too).
 Tokens are read as int() reads them, so "+1", "01" and "1_0" are symbols;
 the writer prints canonical decimals.  Writers are bit-exact: no trailing
 whitespace, single trailing newline.
+
+On alphabets of at most ten symbols (q <= 10 in the header, or m.q <= 10
+when writing) every valid symbol is one ASCII digit.  There a row whose
+fields are all single ASCII digits is read as bytes through one
+translation table, and the writer prints every row the same way; any
+other row, and every row of a larger alphabet, takes the int() and
+%-format path.  Both paths give the same matrix and the same text.
 """
 
 from __future__ import annotations
@@ -26,6 +33,12 @@ from fractions import Fraction
 # group_rows builds symbols up to q**a; keep them a sane machine size so
 # downstream arithmetic and file output stay practical.
 _MAX_GROUPED_ALPHABET = 2**62
+
+# On alphabets of at most this many symbols every symbol is one ASCII
+# digit, read and printed through these byte translation tables.
+_DIGIT_ALPHABET = 10
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+_DIGIT_CHARS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 def _integer(value, name: str) -> int:
@@ -209,15 +222,20 @@ def parse_matrix(text: str) -> Matrix:
                     return MatrixFormatError(f"entry {e} out of range [0, {q})", at)
         return MatrixFormatError(message, line)
 
+    digits = q <= _DIGIT_ALPHABET
     for lineno, fields in body:
         if len(rows) >= n_rows:
             raise error("unexpected content after last row", lineno)
         if len(fields) != n_cols:
             raise error(f"row has {len(fields)} entries, expected {n_cols}", lineno)
-        try:
-            rows.append(tuple(map(int, fields)))
-        except ValueError:
-            raise error("row entries must be integers", lineno) from None
+        # n_cols characters in n_cols fields: each field is one character.
+        if digits and len(joined := "".join(fields)) == n_cols and joined.isascii() and joined.isdigit():
+            rows.append(tuple(joined.encode().translate(_DIGIT_VALUES)))
+        else:
+            try:
+                rows.append(tuple(map(int, fields)))
+            except ValueError:
+                raise error("row entries must be integers", lineno) from None
         row_lines.append(lineno)
     if n_cols == 0:
         # Zero-width rows carry no text; synthesize them.
@@ -232,7 +250,14 @@ def parse_matrix(text: str) -> Matrix:
 
 def write_matrix(m: Matrix) -> str:
     """Render a matrix in the text format (bit-exact, trailing newline)."""
-    lines = [f"{m.rows} {m.cols} {m.q}"]
+    header = f"{m.rows} {m.cols} {m.q}"
+    if m.cols > 0 and m.q <= _DIGIT_ALPHABET:
+        # Every entry is 0..9: lay out each row's spaces and newline once,
+        # then drop all digits into the even byte positions in one step.
+        text = bytearray((b" " * (2 * m.cols - 1) + b"\n") * m.rows)
+        text[::2] = b"".join(map(bytes, m.entries)).translate(_DIGIT_CHARS)
+        return f"{header}\n{text.decode('ascii')}"
+    lines = [header]
     if m.cols > 0:
         # One %-format per row is one C-level pass; entries are exact
         # ints, which %d prints as str() does.

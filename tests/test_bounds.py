@@ -28,6 +28,7 @@ from sephash.bounds import (
     _gradient_kernel,
     _johnson_value,
     _log_miss,
+    _optimizer_rate,
     _permanent_kernel,
     _rate_forward,
     _rate_grad,
@@ -600,6 +601,15 @@ class TestSmallAlphabetBound:
         b = small_alphabet_bound(6, 2, [2, 3])
         assert b.params["rate_route"] == "optimizer"
         assert b.params["rate"] == pytest.approx(0.25, abs=1e-6)
+
+    def test_optimizer_rate_is_computed_once_per_type(self):
+        rate = max_separation_rate([2, 2, 3, 5]).value
+        assert small_alphabet_bound(10, 4, [2, 2, 3, 5]).params["rate"] == rate
+        before = _optimizer_rate.cache_info()
+        for n_rows, weights in ((20, [5, 3, 2, 2]), (30, (2, 3, 5, 2))):
+            assert small_alphabet_bound(n_rows, 4, weights).params["rate"] == rate
+        after = _optimizer_rate.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 2, before.misses)
 
     def test_past_double_range_is_infinity(self):
         # The reduction's perfect-hash terms overflow.

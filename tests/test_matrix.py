@@ -125,14 +125,21 @@ class TestParse:
 
 # Tokens int() accepts in odd spellings, tokens it rejects, and values just
 # outside small alphabets; the header is usually valid so rows get read.
-SOUP_TOKENS = ["0", "1", "2", "3", "6", "+1", "01", "-0", "1_0", "\u0663", "-1", "7", "12", "x", "1.0", "_1"]
+# Single-character digits that are not ASCII reach the digit path's gate:
+# int() reads the fullwidth "\uff13" as 3 and rejects "\u00b2", though
+# both pass str.isdigit().
+SOUP_TOKENS = [
+    "0", "1", "2", "3", "6", "9", "+1", "01", "-0", "1_0", "\u0663", "\uff13", "\u00b2",
+    "-1", "7", "12", "x", "1.0", "_1",
+]
 
 
 @st.composite
 def token_soups(draw):
     n_rows = draw(st.integers(1, 4))
     n_cols = draw(st.integers(0, 4))
-    q = draw(st.integers(1, 12))
+    # q = 10 and 11 sit on either side of the digit path's alphabet limit.
+    q = draw(st.one_of(st.integers(1, 12), st.sampled_from([10, 11])))
     header = draw(
         st.sampled_from(
             [f"{n_rows} {n_cols} {q}"] * 6 + [f"{n_rows} {n_cols}", f"{n_rows} x {q}", f"0 {n_cols} {q}"]
@@ -150,6 +157,17 @@ def token_soups(draw):
     return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
+@st.composite
+def entry_grids(draw):
+    """(rows, q): q is often at most 12, where the digit writer runs, and
+    entries lie in or just outside [0, q), or anywhere in half the grids."""
+    q = draw(st.integers(1, 2**70) | st.integers(1, 12))
+    entry = st.integers(-1, min(q, 12))
+    if draw(st.booleans()):
+        entry |= st.integers(-3, 2**70)
+    return draw(st.lists(st.lists(entry, max_size=5), min_size=1, max_size=4)), q
+
+
 class TestTextPathMatchesReference:
     @settings(max_examples=400, deadline=None)
     @given(token_soups())
@@ -160,6 +178,9 @@ class TestTextPathMatchesReference:
     @example("1 1 2\n5\n1\n")
     @example("2 2 2\n0 7\n")
     @example("2 2 2\n1 0\n3 -1\n")
+    @example("1 3 10\n9 0 9\n")
+    @example("1 3 11\n9 10 0\n")
+    @example("2 2 4\n0 9\n+1 x\n")
     def test_parse_and_write(self, text):
         try:
             want = reference_parse_matrix(text)
@@ -173,13 +194,11 @@ class TestTextPathMatchesReference:
         assert all(type(e) is int for row in got.entries for e in row)
         assert write_matrix(got) == reference_write_matrix(got)
 
-    @given(
-        st.lists(st.lists(st.integers(-3, 2**70), max_size=5), min_size=1, max_size=4),
-        st.integers(1, 2**70),
-    )
-    @example([[0, 1], [2, 9]], 5)
-    @example([[0, 1], [2]], 5)
-    def test_matrix_checks_and_write(self, rows, q):
+    @given(entry_grids())
+    @example(([[0, 1], [2, 9]], 5))
+    @example(([[0, 1], [2]], 5))
+    def test_matrix_checks_and_write(self, grid):
+        rows, q = grid
         entries = tuple(map(tuple, rows))
         try:
             reference_check_entries(entries, q)
