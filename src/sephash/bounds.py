@@ -99,6 +99,11 @@ class BoundResult:
         }
 
 
+def _require_alphabet(q: int) -> None:
+    if q < 1:
+        raise ValueError("need q >= 1")
+
+
 def _upper(value, provenance, weights: SeparationType, params, flags=()) -> BoundResult:
     """Build an upper-bound result, flagging values below the vacuous floor."""
     if value != INF and value < weights.u - 1:
@@ -123,6 +128,7 @@ def blackburn_bound(q: int, weights) -> BoundResult:
     w = normalize_weights(weights)
     if w.t < 2:
         raise ValueError("need at least two parts")
+    _require_alphabet(q)
     w1, w2 = w.weights[0], w.weights[1]
     value = (w1 * w2 + w.u - w1 - w2) * q
     return _upper(value, PROV_BLACKBURN, w, {"q": q, "weights": w.weights, "N": w.u - 1})
@@ -133,6 +139,7 @@ def trung_bound(q: int, weights) -> BoundResult:
     w = normalize_weights(weights)
     if w.t < 2:
         raise ValueError("need at least two parts")
+    _require_alphabet(q)
     value = (w.u - 1) * q
     return _upper(value, PROV_TRUNG, w, {"q": q, "weights": w.weights, "N": w.u - 1})
 
@@ -147,6 +154,7 @@ def niu_cao_bound(q: int, w: int) -> BoundResult:
     """
     if w < 2:
         raise ValueError("need w >= 2")
+    _require_alphabet(q)
     wt = SeparationType.of([w, w])
     value = (q - 1) ** 2 + 1
     return _upper(
@@ -177,6 +185,7 @@ def balanced_grouping_bound(n_rows: int, q: int, weights) -> BoundResult:
         raise ValueError("need u >= 2")
     if n_rows < 1:
         raise ValueError("need N >= 1")
+    _require_alphabet(q)
     span = w.u - 1
     r = n_rows % span or span
     return _upper(
@@ -195,6 +204,7 @@ def grouping_composition_bound(n_rows: int, q: int, weights) -> BoundResult:
         raise ValueError("need u >= 2")
     if n_rows < 1:
         raise ValueError("need N >= 1")
+    _require_alphabet(q)
     value = (w.u - 1) * q ** (-(-n_rows // (w.u - 1)))
     return _upper(value, PROV_UNIFORM, w, {"q": q, "weights": w.weights, "N": n_rows})
 
@@ -257,8 +267,7 @@ def _johnson_value(n_rows: int, q: int, u: int):
             q**(N-u+2) >= q**2 (q**(u-2) - 1) >= (u-2)q > (u-2)q - (u-1).
     So the short tails never win and J(N, u) = B(N, u).
     """
-    if q < 1:
-        raise ValueError("need q >= 1")
+    _require_alphabet(q)
     if u == 2:
         return q**n_rows
     if n_rows <= 0:
@@ -281,8 +290,7 @@ def johnson_step(n_rows: int, q: int, weights, length: int, i: int) -> BoundResu
     makes the tail unbounded.
     """
     w = normalize_weights(weights)
-    if q < 1:
-        raise ValueError("need q >= 1")
+    _require_alphabet(q)
     if not 1 <= length <= n_rows:
         raise ValueError(f"step length must lie in [1, {n_rows}]")
     reduced = _decrement_weight(w.weights, i)
@@ -352,6 +360,7 @@ def prob_lower_bound(n_rows: int, q: int, weights) -> BoundResult:
     w = normalize_weights(weights)
     if w.u < 2:
         raise ValueError("need u >= 2")
+    _require_alphabet(q)
     g, log_value = _log_prob_lower(n_rows, q, w)
     try:
         value = math.exp(log_value)
@@ -775,8 +784,7 @@ def applicable_upper_bounds(n_rows: int, q: int, weights) -> list[BoundResult]:
     w = normalize_weights(weights)
     if w.t < 2:
         raise ValueError("need at least two parts")
-    if q < 1:
-        raise ValueError("need q >= 1")
+    _require_alphabet(q)
     results = []
     if n_rows <= w.u - 1:
         ext = () if n_rows == w.u - 1 else (FLAG_MONOTONE_EXT,)

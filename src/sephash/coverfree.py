@@ -42,13 +42,10 @@ def is_cff(m: Matrix, w: int) -> tuple[int, tuple[int, ...]] | None:
         raise ValueError("w must be positive")
     # masks[j]: bit r set iff member j holds element r.
     masks = [sum(1 << r for r, e in enumerate(col) if e) for col in m.columns()]
-    used = [False] * m.cols
     for a0 in range(m.cols):
-        used[a0] = True
-        cover = _first_cover(masks, masks[a0], w, 0, used)
+        cover = _first_cover(masks, masks[a0], w, 0, (a0,))
         if cover is not None:
             return (a0, cover)
-        used[a0] = False
     return None
 
 

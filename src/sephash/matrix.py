@@ -112,7 +112,8 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows, q: int) -> "Matrix":
-        return cls(tuple(tuple(int(e) for e in row) for row in rows), q)
+        """Matrix of any iterable rows; a lossy cast of an entry raises ValueError."""
+        return cls(tuple(tuple(_integer(e, "entry") for e in row) for row in rows), q)
 
     @property
     def rows(self) -> int:

@@ -12,10 +12,11 @@ accepts and returns the matrix that last call accepted, with no second call.
 Both exact searches take their candidate space from hypergraph._cube: all
 q**N columns (or edges) in lexicographic order, each with its vertex mask
 and, per row (part), the bitmask of candidates sharing its symbol there.
-exact_capacity runs one loop over an explicit stack, one frame per chosen
-column, the frames' chosen sets all prefixes of one shared path (memory
-linear in the depth); rainbow_free_extremal_search runs one recursive dfs
-closure.
+exact_capacity runs one loop over an explicit stack of (depth, candidates)
+frames, whose chosen sets are prefixes of one shared path (memory linear in
+the depth); rainbow_free_extremal_search runs one recursive dfs closure on
+the chosen and live edge bitmasks.  Neither keeps more: sizes are popcounts,
+and a search is complete iff it counted fewer nodes than its budget.
 
 exact_capacity enumerates column sets in canonical form: per-row symbol
 relabeling maps some column of any family to the all-zero column, which is
@@ -230,12 +231,13 @@ def exact_capacity(
     """Largest n for which an N x n W-separating matrix over q symbols exists.
 
     Exhaustive up to per-row symbol relabeling; requires q**N <= 10_000
-    candidate columns and node_budget >= 1.  When the node budget trips, the
-    best family found so far is returned with exact=False, but never fewer
-    than u-1 columns: any u-1 columns, duplicates included, are vacuously
-    separating.  The reported nodes can then exceed node_budget by up to the
-    depth reached, as each level above the trip counts one more candidate
-    before it sees it.
+    candidate columns and an integer node_budget >= 1.  When the node budget
+    trips, the best family found so far is returned with exact=False, but
+    never fewer than u-1 columns: any u-1 columns, duplicates included, are
+    vacuously separating.  The reported nodes can then exceed node_budget by
+    up to the depth reached, as each level above the trip counts one more
+    candidate before it sees it.  The budget trips exactly when the count
+    reaches it, so exact is nodes < node_budget.
 
     A candidate is forbidden by a holed tuple if, in every row where no two
     parts share a symbol (a good row), it shows a symbol of some member
@@ -257,7 +259,7 @@ def exact_capacity(
     # q**14 > 10_000 for every q >= 2: never build a huge q**N to refuse it.
     if q ** min(n_rows, 14) > 10_000:
         raise ValueError("search space too large: need q**N <= 10000")
-    if node_budget < 1:
+    if _integer(node_budget, "node_budget") < 1:
         raise ValueError("need node_budget >= 1")
     start = time.perf_counter()
     u = w.u
@@ -276,7 +278,6 @@ def exact_capacity(
     spared = {}
     best: list[int] = []
     nodes = 0
-    exact = True
 
     def spare(key):
         by_row = {}
@@ -339,34 +340,32 @@ def exact_capacity(
                 break
         return allowed
 
-    # Each frame: the depth of its chosen set, path[:depth], its candidates
-    # not yet tried (a bitmask, tried in ascending order) and how many they
-    # are.  The frames' chosen sets are prefixes of one shared path, as each
-    # frame lies above the shallower ones.  Canonical: the all-zero column
-    # is index 0.  No root filter: a lone column and a candidate are
+    # Each frame: the depth of its chosen set, path[:depth], and its
+    # candidates not yet tried (a bitmask, tried in ascending order).  The
+    # frames' chosen sets are prefixes of one shared path, as each frame
+    # lies above the shallower ones.  Canonical: the all-zero column is
+    # index 0.  No root filter: a lone column and a candidate are
     # unseparated only if u = 2 and equal.
     path = [0]
-    stack = [(1, everything ^ 1, len(columns) - 1)]
+    stack = [(1, everything ^ 1)]
     while stack:
-        depth, cand, left = stack.pop()
+        depth, cand = stack.pop()
         del path[depth:]
         if depth > len(best):
             best = path[:]
-        if depth + left <= len(best):
+        if depth + cand.bit_count() <= len(best):
             continue
         nodes += 1
         if nodes >= node_budget:
             # Drop the frame.  Each frame below that resumes past its bound
             # counts one more node and drops too: the documented over-count.
-            exact = False
             continue
         # col passed the filter as each chosen column joined: no recheck.
         col = (cand & -cand).bit_length() - 1
         cand ^= 1 << col  # now the candidates after col
-        stack.append((depth, cand, left - 1))
+        stack.append((depth, cand))
         path.append(col)
-        kept = survivors(path, cand)
-        stack.append((depth + 1, kept, kept.bit_count()))
+        stack.append((depth + 1, survivors(path, cand)))
     elapsed = time.perf_counter() - start
     # Fewer than u-1 distinct columns exist, or the budget tripped first:
     # u-1 copies of column 0 (all-zero) still have no tuple to violate.
@@ -382,7 +381,7 @@ def exact_capacity(
         witness=witness,
         nodes=nodes,
         elapsed=elapsed,
-        exact=exact,
+        exact=nodes < node_budget,
     )
 
 
@@ -406,7 +405,7 @@ def random_shf_alteration(
         )
     if n_rows < 1:
         raise ValueError("need N >= 1")
-    if trials < 1:
+    if _integer(trials, "trials") < 1:
         raise ValueError("need trials >= 1")
     u = w.u
     # log of the optimum (u * (1-g)**N)**(-1/(u-1)), as (1-g)**N can underflow
@@ -525,9 +524,10 @@ def rainbow_free_extremal_search(
     is exact: a candidate that is not linear with, or closes a cycle with,
     some chosen edges still does once i joins them, and a cycle that i
     makes possible passes through i.  The diagonal matching seeds the
-    search, so the result always has at least part_size edges.
-    node_budget must be at least 1; budget overruns return the best found,
-    flagged uncertified.
+    search, so the result always has at least part_size edges.  node_budget
+    must be an integer of at least 1; budget overruns return the best found,
+    flagged uncertified: only a trip brings the count to the budget, so
+    certified is nodes < node_budget.
 
     Nodes count candidates as a loop over every candidate after the newest
     edge would: one per candidate until the size bound stops it, alive or
@@ -551,7 +551,7 @@ def rainbow_free_extremal_search(
     for k in ks:
         if not 3 <= k <= parts:
             raise ValueError(f"cycle length {k} outside [3, {parts}]")
-    if node_budget < 1:
+    if _integer(node_budget, "node_budget") < 1:
         raise ValueError("need node_budget >= 1")
     q = part_size
     candidates, _, edges_at, _ = _cube(parts, q)
@@ -560,27 +560,27 @@ def rainbow_free_extremal_search(
     # Seed: pairwise disjoint diagonal edges share no vertex, hence no cycle.
     best = [tuple(s for _ in range(parts)) for s in range(q)]
     nodes = 0
-    certified = True
 
     def count(k):
         # Count k more candidates as nodes; True iff the budget trips on one.
-        nonlocal nodes, certified
+        nonlocal nodes
         if nodes + k < node_budget:
             nodes += k
             return False
         # The trip lands on the candidate that reaches the budget, or on
         # the first one counted when a deeper trip already passed it.
         nodes = max(nodes + 1, node_budget)
-        certified = False
         return True
 
-    def dfs(newest, size, chosen, alive):
-        # chosen: bitmask of the chosen candidates, newest the highest of
-        # them; alive: the candidates after newest that may join.
+    def dfs(chosen, alive):
+        # chosen: bitmask of the chosen candidates, its popcount the size
+        # and its bit length the first candidate after the highest of them;
+        # alive: the candidates from there on that may join.
         nonlocal best
+        size = chosen.bit_count()
         if size > len(best):
             best = [candidates[c] for c in _bits(chosen)]
-        start = newest + 1
+        start = chosen.bit_length()
         while True:
             # The size bound stops the loop at the first idx >= limit.
             limit = n + size - len(best)
@@ -600,9 +600,9 @@ def rainbow_free_extremal_search(
             child = alive & ~conflict
             if child:
                 child &= ~_doomed(idx, chosen, ks, edges_at, free_pairs)
-            dfs(idx, size + 1, chosen | 1 << idx, child)
+            dfs(chosen | 1 << idx, child)
 
-    dfs(-1, 0, 0, (1 << n) - 1)
+    dfs(0, (1 << n) - 1)
     h = PartiteHypergraph(parts, q, tuple(best))
     _certify(is_linear_hypergraph(h), "hypergraph is linear")
     for k in ks:
@@ -611,5 +611,5 @@ def rainbow_free_extremal_search(
         edge_count=len(h.edges),
         hypergraph=h,
         nodes=nodes,
-        certified=certified,
+        certified=nodes < node_budget,
     )

@@ -79,21 +79,22 @@ def row_separates(m: Matrix, row: int, parts) -> bool:
     )
 
 
-def _first_cover(masks, need: int, size: int, start: int, used) -> tuple[int, ...] | None:
-    """First ascending size-combination of unused columns >= start covering need.
+def _first_cover(masks, need: int, size: int, start: int, taken) -> tuple[int, ...] | None:
+    """First ascending size-combination of columns >= start, none in taken, covering need.
 
     A combination covers need when the OR of its members' masks holds every
-    bit of need; combinations are tried in lexicographic order.
+    bit of need; combinations are tried in lexicographic order.  taken is
+    any collection of columns; it is only read.
     """
     n = len(masks)
     if size == 1:
         for z in range(start, n):
-            if masks[z] & need == need and not used[z]:
+            if masks[z] & need == need and z not in taken:
                 return (z,)
         return None
     for z in range(start, n - size + 1):
-        if not used[z]:
-            rest = _first_cover(masks, need & ~masks[z], size - 1, z + 1, used)
+        if z not in taken:
+            rest = _first_cover(masks, need & ~masks[z], size - 1, z + 1, taken)
             if rest is not None:
                 return (z,) + rest
     return None
@@ -174,39 +175,36 @@ def find_violation(m: Matrix, weights) -> ViolationWitness | None:
         return None
     agreement_row = agreement.row
     full = (1 << m.rows) - 1
-    used = [False] * n
-    parts: list[list[int]] = [[] for _ in sizes]
     last = len(sizes) - 1
 
-    def place(k: int, start: int, bad: int, reach: list[int]) -> bool:
-        part = parts[k]
+    def place(k, start, bad, reach, done, taken, part):
+        # done: the completed parts; taken: their members (a frozenset, so a
+        # test costs the same for wide types); part: part k's members so
+        # far.  Returns the witness's parts, or None.
         if k == last:
-            cover = _first_cover(reach, full & ~bad, sizes[k], start, used)
-            part.extend(cover or ())
-            return cover is not None
+            cover = _first_cover(reach, full & ~bad, sizes[k], start, taken)
+            return None if cover is None else done + (cover,)
         left = sizes[k] - len(part) - 1
         for z in range(start, n - left):
-            if used[z]:
+            if z in taken:
                 continue
-            used[z] = True
-            part.append(z)
+            members = part + (z,)
             if left:
-                found = place(k, z + 1, bad | reach[z], reach)
+                found = place(k, z + 1, bad | reach[z], reach, done, taken, members)
             else:
                 grown = reach
-                for x in part:
+                for x in members:
                     grown = list(map(or_, grown, agreement_row(x)))
-                nxt = part[0] + 1 if sizes[k + 1] == sizes[k] else 0
-                found = place(k + 1, nxt, bad | reach[z], grown)
+                nxt = members[0] + 1 if sizes[k + 1] == sizes[k] else 0
+                found = place(
+                    k + 1, nxt, bad | reach[z], grown, done + (members,), taken.union(members), ()
+                )
             if found:
-                return True
-            part.pop()
-            used[z] = False
-        return False
+                return found
+        return None
 
-    if place(0, 0, 0, [0] * n):
-        return ViolationWitness(tuple(tuple(p) for p in parts))
-    return None
+    parts = place(0, 0, 0, [0] * n, (), frozenset(), ())
+    return None if parts is None else ViolationWitness(parts)
 
 
 def is_linear_shf(m: Matrix) -> bool:

@@ -697,6 +697,33 @@ class TestBestUpper:
         assert PROV_NIU_CAO not in provs
 
 
+# Every public bound that takes an alphabet size q, called with it.
+Q_BOUNDS = {
+    "prob_lower_bound": lambda q: prob_lower_bound(3, q, [1, 1]),
+    "trung_bound": lambda q: trung_bound(q, [1, 2]),
+    "blackburn_bound": lambda q: blackburn_bound(q, [1, 2]),
+    "niu_cao_bound": lambda q: niu_cao_bound(q, 2),
+    "balanced_grouping_bound": lambda q: balanced_grouping_bound(4, q, [1, 2]),
+    "grouping_composition_bound": lambda q: grouping_composition_bound(4, q, [1, 2]),
+    "johnson_recursive_bound": lambda q: johnson_recursive_bound(4, q, [1, 2]),
+    "johnson_step": lambda q: johnson_step(4, q, [1, 2], 1, 1),
+    "applicable_upper_bounds": lambda q: applicable_upper_bounds(4, q, [1, 2]),
+    "best_upper_bound": lambda q: best_upper_bound(4, q, [1, 2]),
+}
+
+
+@pytest.mark.parametrize("q", [0, -1])
+@pytest.mark.parametrize("name", sorted(Q_BOUNDS))
+def test_every_bound_refuses_alphabet_below_one(name, q):
+    with pytest.raises(ValueError, match="q >= 1"):
+        Q_BOUNDS[name](q)
+
+
+@pytest.mark.parametrize("name", sorted(Q_BOUNDS))
+def test_every_bound_accepts_alphabet_one(name):
+    Q_BOUNDS[name](1)
+
+
 class TestJsonShape:
     def test_infinity_serializes_as_string(self):
         b = johnson_step(3, 3, [1, 2], 1, 1)

@@ -235,6 +235,11 @@ class TestMatrixInvariants:
         assert m.entries == ((1, 0, 1),)
         assert write_matrix(m) == "1 3 2\n1 0 1\n"
 
+    @pytest.mark.parametrize("entry", [1.7, "1", float("inf"), float("nan")])
+    def test_from_rows_refuses_lossy_casts(self, entry):
+        with pytest.raises(ValueError, match="^entry .* is not an integer$"):
+            Matrix.from_rows([[entry, 0]], 2)
+
     def test_rejects_out_of_alphabet(self):
         with pytest.raises(ValueError):
             Matrix(((0, 3),), 2)

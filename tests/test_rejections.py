@@ -91,6 +91,12 @@ REJECTIONS = [
     ("exact_capacity N<1", lambda: exact_capacity(0, 2, [1, 1]), ValueError, "need N >= 1"),
     ("random_shf_alteration N<1", lambda: random_shf_alteration(0, 3, [1, 1], seed=0), ValueError, "need N >= 1"),
     ("random_shf_alteration trials<1", lambda: random_shf_alteration(2, 3, [1, 1], seed=0, trials=0), ValueError, "trials >= 1"),
+    ("random_shf_alteration lossy trials", lambda: random_shf_alteration(2, 3, [1, 1], seed=0, trials=2.5), ValueError, "trials 2.5 is not an integer"),
+    ("random_shf_alteration text trials", lambda: random_shf_alteration(2, 3, [1, 1], seed=0, trials="2"), ValueError, "trials '2' is not an integer"),
+    ("exact_capacity lossy budget", lambda: exact_capacity(2, 2, [1, 1], node_budget=2.5), ValueError, "node_budget 2.5 is not an integer"),
+    ("exact_capacity inf budget", lambda: exact_capacity(2, 2, [1, 1], node_budget=float("inf")), ValueError, "node_budget inf is not an integer"),
+    ("rainbow_free_extremal_search lossy budget", lambda: rainbow_free_extremal_search(3, 2, [3], node_budget=2.5), ValueError, "node_budget 2.5 is not an integer"),
+    ("rainbow_free_extremal_search nan budget", lambda: rainbow_free_extremal_search(3, 2, [3], node_budget=float("nan")), ValueError, "node_budget nan is not an integer"),
     ("rainbow_free_extremal_search no parts", lambda: rainbow_free_extremal_search(0, 2, [3]), ValueError, "at least one part"),
     ("rainbow_free_extremal_search no lengths", lambda: rainbow_free_extremal_search(3, 2, []), ValueError, "at least one cycle length"),
     ("rainbow_free_extremal_search lossy length", lambda: rainbow_free_extremal_search(3, 2, [3.7]), ValueError, "cycle length 3.7 is not an integer"),

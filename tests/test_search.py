@@ -257,6 +257,14 @@ class TestExactCapacity:
         with pytest.raises(ValueError, match="node_budget >= 1"):
             exact_capacity(3, 3, (2, 2), node_budget=budget)
 
+    @pytest.mark.parametrize(
+        "budget, nodes, exact", [(357, 357, False), (358, 358, False), (359, 358, True)]
+    )
+    def test_exact_iff_nodes_below_budget(self, budget, nodes, exact):
+        # The full search takes 358 nodes: a budget of 358 trips on the last.
+        r = exact_capacity(3, 3, (2, 2), node_budget=budget)
+        assert (r.nodes, r.exact) == (nodes, exact)
+
     def test_monotone_in_rows_and_alphabet(self):
         grid = {}
         for n_rows in (1, 2, 3):
@@ -501,6 +509,14 @@ class TestRainbowFreeSearch:
     def test_rejects_budget_below_one(self, budget):
         with pytest.raises(ValueError, match="node_budget >= 1"):
             rainbow_free_extremal_search(3, 3, [3], node_budget=budget)
+
+    @pytest.mark.parametrize(
+        "budget, nodes, certified", [(54, 54, False), (55, 55, False), (56, 55, True)]
+    )
+    def test_certified_iff_nodes_below_budget(self, budget, nodes, certified):
+        # The full search takes 55 nodes: a budget of 55 trips on the last.
+        r = rainbow_free_extremal_search(3, 2, (3,), node_budget=budget)
+        assert (r.nodes, r.certified) == (nodes, certified)
 
     @pytest.mark.parametrize(
         "parts, q, ks, budget, edges, nodes, certified",
