@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import add, mul, sub
 
-from .matrix import SeparationType, _certify, normalize_weights
+from .matrix import SeparationType, _certify, _integer, normalize_weights
 
 INF = math.inf
 
@@ -99,9 +99,12 @@ class BoundResult:
         }
 
 
-def _require_alphabet(q: int) -> None:
+def _require_alphabet(q) -> int:
+    """q as an int, refused unless it is an integer of at least 1."""
+    q = _integer(q, "q")
     if q < 1:
         raise ValueError("need q >= 1")
+    return q
 
 
 def _upper(value, provenance, weights: SeparationType, params, flags=()) -> BoundResult:
@@ -116,6 +119,7 @@ def all_distinct_probability(q: int, j: int) -> Fraction:
 
     Falling factorial q(q-1)...(q-j+1) over q**j, exact.  Zero when j > q.
     """
+    q, j = _integer(q, "q"), _integer(j, "j")
     if j < 1:
         raise ValueError("j must be positive")
     if q < 1:
@@ -128,7 +132,7 @@ def blackburn_bound(q: int, weights) -> BoundResult:
     w = normalize_weights(weights)
     if w.t < 2:
         raise ValueError("need at least two parts")
-    _require_alphabet(q)
+    q = _require_alphabet(q)
     w1, w2 = w.weights[0], w.weights[1]
     value = (w1 * w2 + w.u - w1 - w2) * q
     return _upper(value, PROV_BLACKBURN, w, {"q": q, "weights": w.weights, "N": w.u - 1})
@@ -139,7 +143,7 @@ def trung_bound(q: int, weights) -> BoundResult:
     w = normalize_weights(weights)
     if w.t < 2:
         raise ValueError("need at least two parts")
-    _require_alphabet(q)
+    q = _require_alphabet(q)
     value = (w.u - 1) * q
     return _upper(value, PROV_TRUNG, w, {"q": q, "weights": w.weights, "N": w.u - 1})
 
@@ -152,9 +156,9 @@ def niu_cao_bound(q: int, w: int) -> BoundResult:
     q = 3, w = 2 exhaustive search exhibits a 9-column family, exceeding
     the formula's 5.  Treat small-q values as advisory.
     """
+    w, q = _integer(w, "w"), _require_alphabet(q)
     if w < 2:
         raise ValueError("need w >= 2")
-    _require_alphabet(q)
     wt = SeparationType.of([w, w])
     value = (q - 1) ** 2 + 1
     return _upper(
@@ -183,9 +187,9 @@ def balanced_grouping_bound(n_rows: int, q: int, weights) -> BoundResult:
     w = normalize_weights(weights)
     if w.u < 2:
         raise ValueError("need u >= 2")
+    n_rows, q = _integer(n_rows, "N"), _require_alphabet(q)
     if n_rows < 1:
         raise ValueError("need N >= 1")
-    _require_alphabet(q)
     span = w.u - 1
     r = n_rows % span or span
     return _upper(
@@ -202,9 +206,9 @@ def grouping_composition_bound(n_rows: int, q: int, weights) -> BoundResult:
     w = normalize_weights(weights)
     if w.u < 2:
         raise ValueError("need u >= 2")
+    n_rows, q = _integer(n_rows, "N"), _require_alphabet(q)
     if n_rows < 1:
         raise ValueError("need N >= 1")
-    _require_alphabet(q)
     value = (w.u - 1) * q ** (-(-n_rows // (w.u - 1)))
     return _upper(value, PROV_UNIFORM, w, {"q": q, "weights": w.weights, "N": n_rows})
 
@@ -267,7 +271,6 @@ def _johnson_value(n_rows: int, q: int, u: int):
             q**(N-u+2) >= q**2 (q**(u-2) - 1) >= (u-2)q > (u-2)q - (u-1).
     So the short tails never win and J(N, u) = B(N, u).
     """
-    _require_alphabet(q)
     if u == 2:
         return q**n_rows
     if n_rows <= 0:
@@ -290,7 +293,7 @@ def johnson_step(n_rows: int, q: int, weights, length: int, i: int) -> BoundResu
     makes the tail unbounded.
     """
     w = normalize_weights(weights)
-    _require_alphabet(q)
+    n_rows, q = _integer(n_rows, "N"), _require_alphabet(q)
     if not 1 <= length <= n_rows:
         raise ValueError(f"step length must lie in [1, {n_rows}]")
     reduced = _decrement_weight(w.weights, i)
@@ -318,6 +321,7 @@ def johnson_recursive_bound(n_rows: int, q: int, weights) -> BoundResult:
     w = normalize_weights(weights)
     if w.t < 2:
         raise ValueError("need at least two parts")
+    n_rows, q = _integer(n_rows, "N"), _require_alphabet(q)
     if n_rows < 1:
         raise ValueError("need N >= 1")
     flags = (FLAG_MONOTONE_EXT,) if n_rows < w.u - 1 else ()
@@ -360,7 +364,7 @@ def prob_lower_bound(n_rows: int, q: int, weights) -> BoundResult:
     w = normalize_weights(weights)
     if w.u < 2:
         raise ValueError("need u >= 2")
-    _require_alphabet(q)
+    n_rows, q = _integer(n_rows, "N"), _require_alphabet(q)
     g, log_value = _log_prob_lower(n_rows, q, w)
     try:
         value = math.exp(log_value)
@@ -394,6 +398,7 @@ def perfect_hash_upper_bound(n_rows: float, q: int, t: int) -> BoundResult:
     factor is taken as 1, hence the asymptotic-approximate flag.  For t = 2
     the only term is q**N, which is exact.
     """
+    q, t = _integer(q, "q"), _integer(t, "t")
     if t < 2:
         raise ValueError("need t >= 2")
     if q < t:
@@ -741,6 +746,7 @@ def small_alphabet_bound(n_rows: int, t: int, weights) -> BoundResult:
     (t-1) * (t/(t-1))**(t! N / t**(tw-t)) is its j = 0 term.
     """
     w = normalize_weights(weights)
+    n_rows, t = _integer(n_rows, "N"), _integer(t, "t")
     if w.t != t:
         raise ValueError("weight count must equal t")
     if t < 2:
@@ -784,7 +790,7 @@ def applicable_upper_bounds(n_rows: int, q: int, weights) -> list[BoundResult]:
     w = normalize_weights(weights)
     if w.t < 2:
         raise ValueError("need at least two parts")
-    _require_alphabet(q)
+    n_rows, q = _integer(n_rows, "N"), _require_alphabet(q)
     results = []
     if n_rows <= w.u - 1:
         ext = () if n_rows == w.u - 1 else (FLAG_MONOTONE_EXT,)

@@ -2,9 +2,7 @@
 
 Exit codes: 0 when the requested property holds (or a computation
 succeeded), 1 when a checked property fails (not an SHF, no cycle found),
-2 on usage or input-format errors, and on input too deep for the
-recursion limit of a recursive oracle (find_violation, is_cff,
-find_rainbow_cycle).  All output is JSON with sorted keys so
+2 on usage or input-format errors.  All output is JSON with sorted keys so
 pipelines can rely on a stable schema; seeds are always explicit flags.
 """
 
@@ -303,12 +301,6 @@ def main(argv=None) -> int:
     # is a grouped alphabet past the symbol limit (convert --group-rows).
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    # find_violation, is_cff and find_rainbow_cycle recurse once per part
-    # member, cover member or cycle edge; past the interpreter's limit the
-    # input is refused.
-    except RecursionError:
-        print("error: input too deep for Python's recursion limit", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -42,8 +42,9 @@ def is_cff(m: Matrix, w: int) -> tuple[int, tuple[int, ...]] | None:
         raise ValueError("w must be positive")
     # masks[j]: bit r set iff member j holds element r.
     masks = [sum(1 << r for r, e in enumerate(col) if e) for col in m.columns()]
-    for a0 in range(m.cols):
-        cover = _first_cover(masks, masks[a0], w, 0, (a0,))
+    cols = list(range(m.cols))
+    for a0 in cols:
+        cover = _first_cover(masks, masks[a0], w, cols[:a0] + cols[a0 + 1 :])
         if cover is not None:
             return (a0, cover)
     return None

@@ -14,6 +14,7 @@ find_rainbow_cycle is one depth-first walk over bitmasks: vertex (i, s) is
 bit i*width + (rank of s among part i's symbols) of an edge's vertex mask,
 and a vertex's incidence mask holds the edges through it.  Each path keeps
 the least part sequence for every set of parts its shared vertices can use.
+The walk is one loop over a stack of frames, one per path edge.
 
 The vertex-bit layout is built only here (_cube serves sephash.search), and
 edge agreement only by sephash.verification's scan (is_linear_hypergraph).
@@ -181,38 +182,40 @@ def find_rainbow_cycle(h: PartiteHypergraph, k: int) -> RainbowCycle | None:
     # reach[j]: the edges meeting edge j, itself included.
     reach = [reduce(or_, map(incidence.__getitem__, _bits(mask)), 0) for mask in masks]
 
-    def walk(seq: tuple[int, ...], used: int, options: dict) -> RainbowCycle | None:
-        # options: used-parts mask -> least part sequence of seq's shared vertices.
-        last = seq[-1]
-        if len(seq) == k:
-            for v in _bits(masks[last] & masks[seq[0]]):
-                p = v // width
-                free = [parts for mask, parts in options.items() if not mask >> p & 1]
-                if free:
-                    parts = (p,) + min(free)
-                    vertices = tuple((p, h.edges[e][p]) for p, e in zip(parts, seq))
-                    return RainbowCycle(vertices, seq)
-            return None
-        for e in _bits(reach[last] & ~used):
-            grown: dict[int, tuple[int, ...]] = {}
-            for v in _bits(masks[last] & masks[e]):
-                p = v // width
-                for mask, parts in options.items():
-                    if not mask >> p & 1:
-                        key, ext = mask | 1 << p, parts + (p,)
-                        if key not in grown or ext < grown[key]:
-                            grown[key] = ext
-            if grown:
-                found = walk(seq + (e,), used | 1 << e, grown)
-                if found is not None:
-                    return found
-        return None
-
     for first in range(m - k + 1):
-        # Edges up to first are used: later edges all have larger indices.
-        found = walk((first,), (2 << first) - 1, {0: ()})
-        if found is not None:
-            return found
+        # Each frame: a path, its used edges (and those below first),
+        # options (used-parts mask -> least part sequence of the path's
+        # shared vertices) and the untried edges meeting its last edge.
+        used = (2 << first) - 1
+        stack = [((first,), used, {0: ()}, _bits(reach[first] & ~used))]
+        while stack:
+            seq, used, options, nxt = stack[-1]
+            for e in nxt:
+                grown: dict[int, tuple[int, ...]] = {}
+                for v in _bits(masks[seq[-1]] & masks[e]):
+                    p = v // width
+                    for mask, parts in options.items():
+                        if not mask >> p & 1:
+                            key, ext = mask | 1 << p, parts + (p,)
+                            if key not in grown or ext < grown[key]:
+                                grown[key] = ext
+                if not grown:
+                    continue
+                path = seq + (e,)
+                if len(path) < k:
+                    grew = used | 1 << e
+                    stack.append((path, grew, grown, _bits(reach[e] & ~grew)))
+                    break
+                # e closes the cycle through a vertex it shares with first.
+                for v in _bits(masks[e] & masks[first]):
+                    p = v // width
+                    free = [parts for mask, parts in grown.items() if not mask >> p & 1]
+                    if free:
+                        parts = (p,) + min(free)
+                        vertices = tuple((p, h.edges[x][p]) for p, x in zip(parts, path))
+                        return RainbowCycle(vertices, path)
+            else:
+                stack.pop()
     return None
 
 

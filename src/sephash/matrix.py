@@ -47,6 +47,8 @@ def _integer(value, name: str) -> int:
     A lossy cast (1.7, inf, nan) or a non-number ('3') raises, naming the
     value as `name`.
     """
+    if type(value) is int:
+        return value
     try:
         i = int(value)
     except (OverflowError, ValueError):  # inf, -inf, nan, non-numeric text

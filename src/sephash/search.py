@@ -24,7 +24,7 @@ then the lexicographically smallest, so searching ascending column sets
 whose first member is all-zero covers every family up to relabeling.  The
 branch-and-bound kernel carries its candidates as one bitmask, free of any
 column that would complete an unseparated tuple.  When a column joins, one
-pass over the "holed" tuples through it (sizes W with one part one short)
+loop over the "holed" tuples through it (sizes W with one part one short)
 clears every candidate that completes one.  Rows where two parts of a
 holed tuple share a symbol are bad; they are found on the columns' vertex
 masks, each row's q-bit field filled by one carry trick.  The tuple's key
@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from bisect import bisect
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, product
@@ -201,27 +202,30 @@ class CapacityResult:
 
 
 def _holed_layouts(weights):
-    """Part slots (size, holds the newest column, canonical) of holed tuples.
+    """Part slots (size, holds the newest column, run) of holed tuples.
 
     Slot 0 is the hole, one short of its weight.  One layout per place the
     newest column can sit: the hole, or a part of each other size.  The
     remaining equal-size parts are interchangeable, so they ascend by
-    smallest member.
+    smallest member: a slot after an equal-size one takes only columns above
+    that part's smallest member, and needs run of them for it and the rest
+    of its run (size times those slots).  Other slots have run 0.
     """
 
-    def canonical(rest):
-        return [(v, False, i > 0 and rest[i - 1] == v) for i, v in enumerate(rest)]
+    def ascending(rest):
+        runs = [v * rest[i:].count(v) if i and rest[i - 1] == v else 0 for i, v in enumerate(rest)]
+        return [(v, False, run) for v, run in zip(rest, runs)]
 
     layouts = []
     for w in sorted(set(weights)):
         rest = list(weights)
         rest.remove(w)
         if w > 1:
-            layouts.append([(w - 1, True, False)] + canonical(rest))
+            layouts.append([(w - 1, True, 0)] + ascending(rest))
         for s in sorted(set(rest)):
             others = list(rest)
             others.remove(s)
-            layouts.append([(w - 1, False, False), (s, True, False)] + canonical(others))
+            layouts.append([(w - 1, False, 0), (s, True, 0)] + ascending(others))
     return layouts
 
 
@@ -252,6 +256,7 @@ def exact_capacity(
     w = normalize_weights(weights)
     if w.t < 2:
         raise ValueError("need at least two parts")
+    n_rows, q = _integer(n_rows, "N"), _integer(q, "q")
     if n_rows < 1:
         raise ValueError("need N >= 1")
     if q < 1:
@@ -297,47 +302,52 @@ def exact_capacity(
             return cand
         col = chosen[-1]
         allowed = cand
-
-        def rec(slots, k, prev, bad, seen, out, avail):
-            # Fill slot k and those after it.  bad holds the q-bit fields of
-            # the rows where two filled parts share a symbol, seen the filled
-            # parts' vertices, out those of the filled parts after the hole
-            # (slot 0).  The last slot is never the hole: its leaves are here.
-            nonlocal allowed
-            size, has_col, canonical = slots[k]
-            base = masks[col] if has_col else 0
-            last = k == len(slots) - 1
-            # Equal-size parts ascend by smallest member.
-            pool = [x for x in avail if x > prev[0]] if canonical else avail
-            for combo in combinations(pool, size - has_col):
-                syms = base
-                for x in combo:
-                    syms |= masks[x]
-                shared = syms & seen
-                if shared:
-                    # A field's top bit is set iff the field is nonzero:
-                    # adding body carries into it from any lower bit, and
-                    # no carry leaves the field.  Then fill each such field.
-                    hit = ((shared & body) + body | shared) & top
-                    b = bad | (hit << 1) - (hit >> (q - 1))
-                else:
-                    b = bad
-                if last:
-                    key = (out | syms) & ~b
-                    kept = spared.get(key)
-                    if kept is None:
-                        kept = spared[key] = spare(key)
-                    allowed &= kept
-                else:
-                    rest = [x for x in avail if x not in combo]
-                    rec(slots, k + 1, combo, b, seen | syms, out | syms if k else 0, rest)
-                if not allowed:
-                    return
-
         for slots in layouts:
-            rec(slots, 0, (), 0, 0, 0, chosen[:-1])
-            if not allowed:
-                break
+            # Each frame fills slot k: its untried combinations, bad (the
+            # q-bit fields of the rows where two filled parts share a symbol),
+            # seen (the filled parts' vertices), out (those after the hole,
+            # slot 0) and avail (the ascending columns left).  The last
+            # slot is never the hole: its combinations are the leaves.
+            last, (size, has_col, _) = len(slots) - 1, slots[0]
+            stack = [(0, combinations(chosen[:-1], size - has_col), 0, 0, 0, chosen[:-1])]
+            while stack:
+                k, combos, bad, seen, out, avail = stack[-1]
+                base = masks[col] if slots[k][1] else 0
+                for combo in combos:
+                    syms = base
+                    for x in combo:
+                        syms |= masks[x]
+                    b, shared = bad, syms & seen
+                    if shared:
+                        # A field's top bit is set iff the field is nonzero:
+                        # adding body carries into it from any lower bit, and
+                        # no carry leaves the field.  Then fill each such field.
+                        hit = ((shared & body) + body | shared) & top
+                        b |= (hit << 1) - (hit >> (q - 1))
+                    if k == last:
+                        key = (out | syms) & ~b
+                        kept = spared.get(key)
+                        if kept is None:
+                            kept = spared[key] = spare(key)
+                        allowed &= kept
+                        if not allowed:
+                            return 0
+                        continue
+                    size, has_col, run = slots[k + 1]
+                    rest = avail.copy()
+                    for x in combo:
+                        rest.remove(x)
+                    pool = rest[bisect(rest, combo[0]) :] if run else rest
+                    # Too few columns above combo[0] for the run: no leaf lies
+                    # below this or any later combination.  End the frame.
+                    if len(pool) < run:
+                        stack.pop()
+                        break
+                    nxt = combinations(pool, size - has_col)
+                    stack.append((k + 1, nxt, b, seen | syms, out | syms if k else 0, rest))
+                    break
+                else:
+                    stack.pop()
         return allowed
 
     # Each frame: the depth of its chosen set, path[:depth], and its
@@ -399,6 +409,7 @@ def random_shf_alteration(
     w = normalize_weights(weights)
     if w.t < 2:
         raise ValueError("need at least two parts")
+    n_rows, q, seed = _integer(n_rows, "N"), _integer(q, "q"), _integer(seed, "seed")
     if q < w.t:
         raise PreconditionError(
             f"need q >= t = {w.t}: fewer symbols can never separate {w.t} parts"
@@ -541,6 +552,7 @@ def rainbow_free_extremal_search(
     linear edges never share a vertex pair, and parts 0 and 1 have only
     part_size**2 of them.
     """
+    parts, part_size = _integer(parts, "parts"), _integer(part_size, "part_size")
     if parts > 6 or part_size > 5:
         raise ValueError("desk-scale search: need parts <= 6 and part_size <= 5")
     if parts < 1 or part_size < 1:

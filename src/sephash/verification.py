@@ -7,7 +7,9 @@ It first tries the distance certificate (no two columns agree in more than
 (N-1) // sum_{i<j} wi*wj rows), which proves separation without looking at
 a part tuple.  Otherwise one pass over the part tuples, carrying the OR of
 the rows left unseparated, decides it and returns a reproducible
-certificate when the property fails.  _Agreement computes column agreement.
+certificate when the property fails.  The pass and the cover search it
+shares with is_cff are loops, so no part is too wide for the interpreter's
+recursion limit.  _Agreement computes column agreement.
 
 Everything here is pure and operates on immutable matrices; calls are safe
 to run concurrently.
@@ -15,6 +17,7 @@ to run concurrently.
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
@@ -79,24 +82,21 @@ def row_separates(m: Matrix, row: int, parts) -> bool:
     )
 
 
-def _first_cover(masks, need: int, size: int, start: int, taken) -> tuple[int, ...] | None:
-    """First ascending size-combination of columns >= start, none in taken, covering need.
+def _first_cover(masks, need: int, size: int, free) -> tuple[int, ...] | None:
+    """First ascending size-combination of the columns in free covering need.
 
-    A combination covers need when the OR of its members' masks holds every
-    bit of need; combinations are tried in lexicographic order.  taken is
-    any collection of columns; it is only read.
+    free is an ascending list of columns.  A combination covers need when
+    the OR of its members' masks holds every bit of need; combinations are
+    tried in lexicographic order: each head of size - 1 members in turn,
+    then the first last member after it that covers what the head leaves.
     """
-    n = len(masks)
-    if size == 1:
-        for z in range(start, n):
-            if masks[z] & need == need and z not in taken:
-                return (z,)
-        return None
-    for z in range(start, n - size + 1):
-        if z not in taken:
-            rest = _first_cover(masks, need & ~masks[z], size - 1, z + 1, taken)
-            if rest is not None:
-                return (z,) + rest
+    for head in combinations(range(len(free) - 1), size - 1):
+        left = need
+        for i in head:
+            left &= ~masks[free[i]]
+        for z in free[head[-1] + 1 if head else 0 :]:
+            if masks[z] & left == left:
+                return tuple(free[i] for i in head) + (z,)
     return None
 
 
@@ -159,7 +159,7 @@ def find_violation(m: Matrix, weights) -> ViolationWitness | None:
     One depth-first pass carries bad, the rows already unseparated, and
     reach[z], the OR of completed parts' agreement rows with z; the last
     part is the first free combination whose reach covers the rows not yet
-    bad (_first_cover).
+    bad (_first_cover).  The pass is one loop, a stack frame per leading part.
     """
     sizes = normalize_weights(weights).weights
     n = m.cols
@@ -176,35 +176,30 @@ def find_violation(m: Matrix, weights) -> ViolationWitness | None:
     agreement_row = agreement.row
     full = (1 << m.rows) - 1
     last = len(sizes) - 1
-
-    def place(k, start, bad, reach, done, taken, part):
-        # done: the completed parts; taken: their members (a frozenset, so a
-        # test costs the same for wide types); part: part k's members so
-        # far.  Returns the witness's parts, or None.
-        if k == last:
-            cover = _first_cover(reach, full & ~bad, sizes[k], start, taken)
-            return None if cover is None else done + (cover,)
-        left = sizes[k] - len(part) - 1
-        for z in range(start, n - left):
-            if z in taken:
-                continue
-            members = part + (z,)
-            if left:
-                found = place(k, z + 1, bad | reach[z], reach, done, taken, members)
+    # Each frame: part k's untried combinations, then bad, reach, the
+    # completed parts (k of them) and the ascending columns outside them.
+    stack = [(combinations(range(n), sizes[0]), 0, [0] * n, (), list(range(n)))]
+    while stack:
+        combos, bad, reach, done, free = stack[-1]
+        k = len(done)
+        for part in combos:
+            b, grown, rest = bad, reach, free.copy()
+            for x in part:
+                b |= reach[x]
+                grown = list(map(or_, grown, agreement_row(x)))
+                rest.remove(x)
+            # Equal-size neighbours ascend by smallest member.
+            pool = rest[bisect(rest, part[0]) :] if sizes[k + 1] == sizes[k] else rest
+            if k + 1 == last:
+                cover = _first_cover(grown, full & ~b, sizes[last], pool)
+                if cover is not None:
+                    return ViolationWitness(done + (part, cover))
             else:
-                grown = reach
-                for x in members:
-                    grown = list(map(or_, grown, agreement_row(x)))
-                nxt = members[0] + 1 if sizes[k + 1] == sizes[k] else 0
-                found = place(
-                    k + 1, nxt, bad | reach[z], grown, done + (members,), taken.union(members), ()
-                )
-            if found:
-                return found
-        return None
-
-    parts = place(0, 0, 0, [0] * n, (), frozenset(), ())
-    return None if parts is None else ViolationWitness(parts)
+                stack.append((combinations(pool, sizes[k + 1]), b, grown, done + (part,), rest))
+                break
+        else:
+            stack.pop()
+    return None
 
 
 def is_linear_shf(m: Matrix) -> bool:

@@ -48,6 +48,37 @@ def test_library_has_no_unused_import():
     assert found == []
 
 
+def _self_calls(path, node, prefix=""):
+    """Qualified names of the functions under node that call themselves by name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = prefix + child.name
+            for call in ast.walk(child):
+                func = call.func if isinstance(call, ast.Call) else None
+                if (isinstance(func, ast.Name) and func.id == child.name) or (
+                    isinstance(func, ast.Attribute)
+                    and func.attr == child.name
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id in ("self", "cls")
+                ):
+                    yield f"{path.name}:{child.lineno} {name}"
+                    break
+            yield from _self_calls(path, child, name + ".")
+        elif isinstance(child, ast.ClassDef):
+            yield from _self_calls(path, child, prefix + child.name + ".")
+        else:
+            yield from _self_calls(path, child, prefix)
+
+
+def test_library_has_no_recursion():
+    # Every walk whose depth comes from the input runs as a loop over an
+    # explicit stack, so no input meets the interpreter's recursion limit.
+    # The one exception: the rainbow-free dfs recurses once per chosen edge,
+    # and its precondition (part_size <= 5) caps that at part_size**2 <= 25.
+    found = [hit for path in SOURCES for hit in _self_calls(path, ast.parse(path.read_text()))]
+    assert [hit.split()[1] for hit in found] == ["rainbow_free_extremal_search.dfs"], found
+
+
 def test_library_imports_only_the_standard_library():
     # The package declares no dependencies: every import is a stdlib
     # module, __future__, or a relative import from the package itself.

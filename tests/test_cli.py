@@ -102,17 +102,20 @@ class TestVerify:
             "witness": {"member": 2, "cover": [0, 1]},
         }
 
-    # One all-zero row: find_violation and is_cff recurse once per member
-    # of the large part or cover, past the interpreter's recursion limit.
+    # One all-zero row separates nothing, so the first tuple or cover is the
+    # witness; its large part is wider than the interpreter's recursion limit.
     @pytest.mark.parametrize("flag, w", [("--type", "1,{}"), ("--cff", "{}")])
-    def test_input_past_the_recursion_limit_exits_2(self, tmp_path, capsys, flag, w):
+    def test_input_past_the_recursion_limit_answers(self, tmp_path, flag, w):
         n = sys.getrecursionlimit() + 100
         path = tmp_path / "zeros.txt"
         path.write_text(write_matrix(Matrix(((0,) * n,), 2)))
-        code, _ = run(["verify", str(path), flag, w.format(n - 1)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err == "error: input too deep for Python's recursion limit\n"
+        code, out = run(["verify", str(path), flag, w.format(n - 1)])
+        assert code == 1
+        rest = list(range(1, n))
+        if flag == "--type":
+            assert out["witness"] == {"parts": [[0], rest], "checked_rows": 1}
+        else:
+            assert out["witness"] == {"member": 0, "cover": rest}
 
     def test_linear_mode(self, corpus):
         code, out = run(["verify", corpus["cycle4.txt"], "--linear"])

@@ -11,10 +11,13 @@ from sephash.bounds import (
     all_distinct_probability,
     applicable_upper_bounds,
     balanced_grouping_bound,
+    best_upper_bound,
     blackburn_bound,
     equal_weight_max_rate,
     grouping_composition_bound,
     johnson_recursive_bound,
+    johnson_step,
+    niu_cao_bound,
     perfect_hash_upper_bound,
     prob_lower_bound,
     separation_rate,
@@ -60,6 +63,30 @@ REJECTIONS = [
     ("equal_weight_max_rate w<2", lambda: equal_weight_max_rate(2, 1), ValueError, "need w >= 2"),
     ("small_alphabet_bound t<2", lambda: small_alphabet_bound(3, 1, [2]), ValueError, "need t >= 2"),
     ("applicable_upper_bounds t<2", lambda: applicable_upper_bounds(3, 2, [2]), ValueError, "at least two parts"),
+    ("all_distinct_probability lossy q", lambda: all_distinct_probability(2.5, 1), ValueError, "q 2.5 is not an integer"),
+    ("all_distinct_probability lossy j", lambda: all_distinct_probability(3, 1.5), ValueError, "j 1.5 is not an integer"),
+    ("blackburn_bound lossy q", lambda: blackburn_bound(2.5, [1, 2]), ValueError, "q 2.5 is not an integer"),
+    ("trung_bound lossy q", lambda: trung_bound(2.5, [1, 2]), ValueError, "q 2.5 is not an integer"),
+    ("niu_cao_bound lossy q", lambda: niu_cao_bound(2.5, 2), ValueError, "q 2.5 is not an integer"),
+    ("niu_cao_bound lossy w", lambda: niu_cao_bound(3, 2.5), ValueError, "w 2.5 is not an integer"),
+    ("balanced_grouping_bound lossy q", lambda: balanced_grouping_bound(3, 2.5, [1, 2]), ValueError, "q 2.5 is not an integer"),
+    ("balanced_grouping_bound lossy N", lambda: balanced_grouping_bound(3.5, 2, [1, 2]), ValueError, "N 3.5 is not an integer"),
+    ("grouping_composition_bound lossy q", lambda: grouping_composition_bound(3, 2.5, [1, 2]), ValueError, "q 2.5 is not an integer"),
+    ("grouping_composition_bound lossy N", lambda: grouping_composition_bound(3.5, 2, [1, 2]), ValueError, "N 3.5 is not an integer"),
+    ("johnson_step lossy q", lambda: johnson_step(4, 2.5, [1, 2], 1, 1), ValueError, "q 2.5 is not an integer"),
+    ("johnson_step lossy N", lambda: johnson_step(4.5, 2, [1, 2], 1, 1), ValueError, "N 4.5 is not an integer"),
+    ("johnson_recursive_bound lossy q", lambda: johnson_recursive_bound(3, 2.5, [1, 2]), ValueError, "q 2.5 is not an integer"),
+    ("johnson_recursive_bound lossy N", lambda: johnson_recursive_bound(3.5, 2, [1, 2]), ValueError, "N 3.5 is not an integer"),
+    ("prob_lower_bound lossy q", lambda: prob_lower_bound(3, 2.5, [1, 1]), ValueError, "q 2.5 is not an integer"),
+    ("prob_lower_bound lossy N", lambda: prob_lower_bound(3.5, 2, [1, 1]), ValueError, "N 3.5 is not an integer"),
+    ("perfect_hash_upper_bound lossy q", lambda: perfect_hash_upper_bound(3, 2.5, 2), ValueError, "q 2.5 is not an integer"),
+    ("perfect_hash_upper_bound lossy t", lambda: perfect_hash_upper_bound(3, 3, 2.5), ValueError, "t 2.5 is not an integer"),
+    ("small_alphabet_bound lossy t", lambda: small_alphabet_bound(8, 2.5, [2, 2]), ValueError, "t 2.5 is not an integer"),
+    ("small_alphabet_bound lossy N", lambda: small_alphabet_bound(8.5, 2, [2, 2]), ValueError, "N 8.5 is not an integer"),
+    ("applicable_upper_bounds lossy q", lambda: applicable_upper_bounds(3, 2.5, [1, 2]), ValueError, "q 2.5 is not an integer"),
+    ("applicable_upper_bounds lossy N", lambda: applicable_upper_bounds(3.5, 2, [1, 2]), ValueError, "N 3.5 is not an integer"),
+    ("best_upper_bound lossy q", lambda: best_upper_bound(3, 2.5, [1, 2]), ValueError, "q 2.5 is not an integer"),
+    ("best_upper_bound text N", lambda: best_upper_bound("3", 2, [1, 2]), ValueError, "N '3' is not an integer"),
     # coverfree.py
     ("is_cff w<1", lambda: is_cff(BINARY, 0), ValueError, "w must be positive"),
     ("cff_derived w<2", lambda: cff_derived(BINARY, 0, 1), PreconditionError, "need w >= 2"),
@@ -89,6 +116,11 @@ REJECTIONS = [
     ("cyclic_overlap_matrix k<3", lambda: cyclic_overlap_matrix(2, 5), ValueError, "need k >= 3"),
     ("exact_capacity t<2", lambda: exact_capacity(2, 2, [2]), ValueError, "at least two parts"),
     ("exact_capacity N<1", lambda: exact_capacity(0, 2, [1, 1]), ValueError, "need N >= 1"),
+    ("exact_capacity lossy N", lambda: exact_capacity(2.5, 2, [1, 1]), ValueError, "N 2.5 is not an integer"),
+    ("exact_capacity lossy q", lambda: exact_capacity(2, 2.5, [1, 1]), ValueError, "q 2.5 is not an integer"),
+    ("random_shf_alteration lossy N", lambda: random_shf_alteration(2.5, 3, [1, 1], seed=0), ValueError, "N 2.5 is not an integer"),
+    ("random_shf_alteration lossy q", lambda: random_shf_alteration(2, 3.5, [1, 1], seed=0), ValueError, "q 3.5 is not an integer"),
+    ("random_shf_alteration lossy seed", lambda: random_shf_alteration(2, 3, [1, 1], seed=2.5), ValueError, "seed 2.5 is not an integer"),
     ("random_shf_alteration N<1", lambda: random_shf_alteration(0, 3, [1, 1], seed=0), ValueError, "need N >= 1"),
     ("random_shf_alteration trials<1", lambda: random_shf_alteration(2, 3, [1, 1], seed=0, trials=0), ValueError, "trials >= 1"),
     ("random_shf_alteration lossy trials", lambda: random_shf_alteration(2, 3, [1, 1], seed=0, trials=2.5), ValueError, "trials 2.5 is not an integer"),
@@ -98,6 +130,8 @@ REJECTIONS = [
     ("rainbow_free_extremal_search lossy budget", lambda: rainbow_free_extremal_search(3, 2, [3], node_budget=2.5), ValueError, "node_budget 2.5 is not an integer"),
     ("rainbow_free_extremal_search nan budget", lambda: rainbow_free_extremal_search(3, 2, [3], node_budget=float("nan")), ValueError, "node_budget nan is not an integer"),
     ("rainbow_free_extremal_search no parts", lambda: rainbow_free_extremal_search(0, 2, [3]), ValueError, "at least one part"),
+    ("rainbow_free_extremal_search lossy parts", lambda: rainbow_free_extremal_search(3.5, 2, [3]), ValueError, "parts 3.5 is not an integer"),
+    ("rainbow_free_extremal_search lossy part_size", lambda: rainbow_free_extremal_search(3, 2.5, [3]), ValueError, "part_size 2.5 is not an integer"),
     ("rainbow_free_extremal_search no lengths", lambda: rainbow_free_extremal_search(3, 2, []), ValueError, "at least one cycle length"),
     ("rainbow_free_extremal_search lossy length", lambda: rainbow_free_extremal_search(3, 2, [3.7]), ValueError, "cycle length 3.7 is not an integer"),
     ("rainbow_free_extremal_search text length", lambda: rainbow_free_extremal_search(3, 2, ["3"]), ValueError, "cycle length '3' is not an integer"),
@@ -115,3 +149,21 @@ def test_rejects_bad_input(call, error, fragment):
         call()
     assert type(info.value) is error
     assert fragment in str(info.value)
+
+
+# An integral float passes the gate as the int it equals.
+INTEGRAL = [
+    ("trung_bound q", lambda: trung_bound(2.0, [1, 2]).params["q"], lambda: 2),
+    ("exact_capacity q", lambda: exact_capacity(2, 2.0, [1, 1]).q, lambda: 2),
+    ("exact_capacity value", lambda: exact_capacity(2, 2.0, [1, 1]).value, lambda: exact_capacity(2, 2, [1, 1]).value),
+    ("rainbow_free_extremal_search parts", lambda: rainbow_free_extremal_search(3.0, 2, [3]).hypergraph.parts, lambda: 3),
+    ("random_shf_alteration q", lambda: random_shf_alteration(2, 3.0, [1, 1], seed=1), lambda: random_shf_alteration(2, 3, [1, 1], seed=1)),
+]
+
+
+@pytest.mark.parametrize("call, expected", [r[1:] for r in INTEGRAL], ids=[r[0] for r in INTEGRAL])
+def test_integral_float_is_cast(call, expected):
+    got, want = call(), expected()
+    assert got == want and type(got) is type(want)
+    if isinstance(got, Matrix):
+        assert type(got.q) is int

@@ -115,7 +115,12 @@ def _rainbow_free_id(parts, q, ks, budget):
 REFERENCE_CAPACITY_POINTS = [
     _reference_point(_capacity_id, n_rows, q, weights, None, slow=nodes >= 2000)
     for n_rows, q, weights, _, nodes, *_ in CAPACITY_REGRESSION
-] + [_reference_point(_capacity_id, 5, 2, (2, 2), 300)]
+] + [_reference_point(_capacity_id, 5, 2, (2, 2), 300)] + [
+    # Runs of equal-size parts after the hole, where the holed-tuple walk
+    # ends a frame once too few columns are left for the run.
+    _reference_point(_capacity_id, n_rows, q, weights, None)
+    for n_rows, q, weights in [(2, 3, (1, 1, 1, 1)), (2, 4, (1, 1, 1, 1)), (3, 2, (2, 2, 2)), (2, 3, (1, 2, 2, 2))]
+]
 REFERENCE_RAINBOW_FREE_POINTS = [
     _reference_point(_rainbow_free_id, parts, q, ks, budget, slow=nodes >= 10_000)
     for parts, q, ks, budget, _, nodes, _ in RAINBOW_FREE_REGRESSION
@@ -721,6 +726,31 @@ class TestCertification:
             "sys.exit(1)\n"
         )
         assert _run(script, "-O") == 0
+
+
+def test_no_walk_depends_on_the_recursion_limit():
+    # Each walk is deeper than the limit: a 149-member part or cover, a
+    # 150-edge cycle and a 150-part holed tuple.  Exit 1-4 names the walk.
+    script = (
+        "import sys\n"
+        "sys.setrecursionlimit(120)\n"
+        "from sephash.coverfree import is_cff\n"
+        "from sephash.hypergraph import find_rainbow_cycle, matrix_to_hypergraph\n"
+        "from sephash.matrix import Matrix\n"
+        "from sephash.search import cyclic_overlap_matrix, exact_capacity\n"
+        "from sephash.verification import find_violation\n"
+        "zeros, rest = Matrix(((0,) * 150,), 2), tuple(range(1, 150))\n"
+        "if find_violation(zeros, [1, 149]).parts != ((0,), rest):\n"
+        "    sys.exit(1)\n"
+        "if is_cff(zeros, 149) != (0, rest):\n"
+        "    sys.exit(2)\n"
+        "h = matrix_to_hypergraph(cyclic_overlap_matrix(150, 149))\n"
+        "if find_rainbow_cycle(h, 150).edges != tuple(range(150)):\n"
+        "    sys.exit(3)\n"
+        "r = exact_capacity(1, 200, [1] * 150, node_budget=149)\n"
+        "sys.exit(0 if (r.value, r.nodes, r.exact) == (149, 297, False) else 4)\n"
+    )
+    assert _run(script) == 0
 
 
 def _run(script, *flags):
