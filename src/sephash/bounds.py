@@ -294,6 +294,7 @@ def johnson_step(n_rows: int, q: int, weights, length: int, i: int) -> BoundResu
     """
     w = normalize_weights(weights)
     n_rows, q = _integer(n_rows, "N"), _require_alphabet(q)
+    length, i = _integer(length, "step length"), _integer(i, "weight position")
     if not 1 <= length <= n_rows:
         raise ValueError(f"step length must lie in [1, {n_rows}]")
     reduced = _decrement_weight(w.weights, i)

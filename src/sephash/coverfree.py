@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .matrix import Matrix, _certify
+from .matrix import Matrix, _certify, _integer
 from .verification import PreconditionError, _first_cover, find_violation
 
 # Quadratic growth coefficient for the cover-free threshold lower bound,
@@ -38,6 +38,7 @@ def is_cff(m: Matrix, w: int) -> tuple[int, tuple[int, ...]] | None:
     most w members are vacuously cover-free.
     """
     _require_binary(m)
+    w = _integer(w, "w")
     if w < 1:
         raise ValueError("w must be positive")
     # masks[j]: bit r set iff member j holds element r.
@@ -58,6 +59,7 @@ def cff_derived(m: Matrix, member: int, w: int) -> Matrix:
     before returning.
     """
     _require_binary(m)
+    member, w = _integer(member, "member"), _integer(w, "w")
     if w < 2:
         raise PreconditionError("need w >= 2 so the derived order is positive")
     if not 0 <= member < m.cols:
@@ -96,6 +98,7 @@ def shf_to_cff_double(m: Matrix, w: int) -> Matrix:
     w-cover-free before returning.
     """
     _require_binary(m)
+    w = _integer(w, "w")
     if w < 1:
         raise ValueError("w must be positive")
     if find_violation(m, [1, w]) is not None:
@@ -133,6 +136,7 @@ def cover_free_threshold_lower(w: int) -> float:
     Past the double range the value is the largest double, still a true
     lower bound (as in bounds.prob_lower_bound).
     """
+    w = _integer(w, "w")
     if w < 1:
         raise ValueError("w must be positive")
     try:
@@ -152,6 +156,7 @@ def frameproof_threshold_bounds(w: int) -> ThresholdBounds:
     The sandwich reports the symbolic two-sided relation to the cover-free
     thresholds at orders w-2 and w.
     """
+    w = _integer(w, "w")
     if w < 3:
         raise ValueError("w must be at least 3")
     sq = (w - 2) ** 2

@@ -275,6 +275,7 @@ def group_rows(m: Matrix, a: int) -> Matrix:
     New entry = base-q encoding of the a stacked entries, topmost digit most
     significant.  Requires a to divide N exactly; no padding is performed.
     """
+    a = _integer(a, "group size")
     if a < 1:
         raise ValueError("group size must be >= 1")
     if m.rows % a != 0:

@@ -12,9 +12,10 @@ accepts and returns the matrix that last call accepted, with no second call.
 Both exact searches take their candidate space from hypergraph._cube: all
 q**N columns (or edges) in lexicographic order, each with its vertex mask
 and, per row (part), the bitmask of candidates sharing its symbol there.
-exact_capacity runs one loop over an explicit stack of (depth, candidates)
-frames, whose chosen sets are prefixes of one shared path (memory linear in
-the depth); rainbow_free_extremal_search runs one recursive dfs closure on
+exact_capacity runs one loop over an explicit stack of frames, whose
+chosen sets are prefixes of one shared path and whose holed-tuple lists
+hang on one persistent chain (memory linear in the depth and in the
+tuples); rainbow_free_extremal_search runs one recursive dfs closure on
 the chosen and live edge bitmasks.  Neither keeps more: sizes are popcounts,
 and a search is complete iff it counted fewer nodes than its budget.
 
@@ -33,7 +34,12 @@ the bad rows' fields cleared, and the candidates it forbids are the
 columns that show, in every row where the key has a symbol, one of those
 symbols.  That set depends on the key alone: it is built once per call
 from the per-vertex incidence masks and memoized, so a tuple costs one
-lookup.
+lookup.  Everything a holed tuple needs but the joining column's vertex
+mask comes from the frame's chosen set, so each frame walks its holed
+tuples once for all its children (_holed_tuples, only those through its
+newest column, the rest being on its parent's chain), and each child
+runs one flat loop over the chain: an AND, a fill when the joiner shares
+a symbol with a part it does not join, and the lookup.
 
 rainbow_free_extremal_search adds candidate edges in lexicographic order.
 Each node carries its live candidates as one bitmask, as exact_capacity's
@@ -96,6 +102,7 @@ def identity_construction(n_rows: int, w: int) -> Matrix:
     singletons are always separated from any w-set; that private row is the
     certificate.  Requires w <= N - 1 so the type is non-vacuous.
     """
+    n_rows, w = _integer(n_rows, "N"), _integer(w, "w")
     if n_rows < 2:
         raise PreconditionError("need at least 2 rows")
     if not 1 <= w <= n_rows - 1:
@@ -123,6 +130,7 @@ def reed_solomon_frameproof(q: int, n_rows: int, w: int) -> Matrix:
     certificate is that argument: no column pair may agree in more than
     a rows.
     """
+    q, n_rows, w = _integer(q, "q"), _integer(n_rows, "N"), _integer(w, "w")
     if not _is_prime(q):
         raise PreconditionError(f"{q} is not prime; only prime fields are supported")
     if not 1 <= n_rows <= q:
@@ -154,6 +162,7 @@ def cyclic_overlap_matrix(k: int, q: int) -> Matrix:
     linear and carries a rainbow k-cycle; for even k = 2w no row separates
     the odd-position columns from the even-position ones.
     """
+    k, q = _integer(k, "k"), _integer(q, "q")
     if k < 3:
         raise ValueError("need k >= 3")
     if q < k - 1:
@@ -202,14 +211,15 @@ class CapacityResult:
 
 
 def _holed_layouts(weights):
-    """Part slots (size, holds the newest column, run) of holed tuples.
+    """Part slots (size, holds the joiner, run) of holed tuples.
 
     Slot 0 is the hole, one short of its weight.  One layout per place the
-    newest column can sit: the hole, or a part of each other size.  The
-    remaining equal-size parts are interchangeable, so they ascend by
-    smallest member: a slot after an equal-size one takes only columns above
-    that part's smallest member, and needs run of them for it and the rest
-    of its run (size times those slots).  Other slots have run 0.
+    joiner (the column joining the chosen set) can sit: the hole, or a part
+    of each other size.  The remaining equal-size parts are interchangeable,
+    so they ascend by smallest member: a slot after an equal-size one takes
+    only columns above that part's smallest member, and needs run of them
+    for it and the rest of its run (size times those slots).  Other slots
+    have run 0.
     """
 
     def ascending(rest):
@@ -227,6 +237,80 @@ def _holed_layouts(weights):
             others.remove(s)
             layouts.append([(w - 1, False, 0), (s, True, 0)] + ascending(others))
     return layouts
+
+
+def _holed_tuples(layouts, masks, prior, q, body, top):
+    """The holed tuples through prior's newest column, each without its joiner.
+
+    prior is an ascending list of chosen columns, masks the vertex masks
+    and layouts _holed_layouts'; the joiner's slot takes one member fewer
+    from prior.  Each tuple comes once, as (bad, other, out, into_hole):
+    the q-bit fields of the rows where two of its parts share a symbol,
+    the vertices of the parts the joiner does not join, those of the parts
+    after the hole, and whether the joiner joins the hole.  None of them
+    depends on the joiner.  body and top are exact_capacity's row-field
+    masks.  An empty prior gives the tuples with no member from prior.
+
+    The newest column, prior[-1], is the largest of every pool that holds
+    it.  So the last slot with members to take takes newest, as its
+    largest member, when no earlier slot took it.
+    """
+    newest = prior[-1] if prior else None
+    tuples = []
+    for slots in layouts:
+        # Each frame fills slot k: its untried combinations, bad, seen (the
+        # filled parts' vertices), other, out and avail (the ascending
+        # columns left).  The last slot's combinations are the leaves; at
+        # is the last slot with members to take.
+        last, into_hole = len(slots) - 1, slots[0][1]
+        at = last if slots[last][0] > slots[last][1] else last - 1
+        size, has_col, _ = slots[0]
+        combos = _combinations_with(prior, size - has_col, newest if at == 0 else None)
+        stack = [(0, combos, 0, 0, 0, 0, prior)]
+        while stack:
+            k, combos, bad, seen, other, out, avail = stack[-1]
+            joined = slots[k][1]
+            for combo in combos:
+                syms = 0
+                for x in combo:
+                    syms |= masks[x]
+                b, shared = bad, syms & seen
+                if shared:
+                    # A field's top bit is set iff the field is nonzero:
+                    # adding body carries into it from any lower bit, and
+                    # no carry leaves the field.  Then fill each such field.
+                    hit = ((shared & body) + body | shared) & top
+                    b |= (hit << 1) - (hit >> (q - 1))
+                apart = other if joined else other | syms
+                if k == last:
+                    tuples.append((b, apart, out | syms, into_hole))
+                    continue
+                size, has_col, run = slots[k + 1]
+                rest = avail.copy()
+                for x in combo:
+                    rest.remove(x)
+                pool = rest[bisect(rest, combo[0]) :] if run else rest
+                # Too few columns above combo[0] for the run: no leaf lies
+                # below this or any later combination.  End the frame.
+                if len(pool) < run:
+                    stack.pop()
+                    break
+                nxt = _combinations_with(pool, size - has_col, newest if k + 1 == at else None)
+                stack.append((k + 1, nxt, b, seen | syms, apart, out | syms if k else 0, rest))
+                break
+            else:
+                stack.pop()
+    return tuples
+
+
+def _combinations_with(pool, width, newest):
+    """Iterator over the ascending width-combinations of the ascending pool.
+
+    When pool ends in newest, only those holding it, as their last member.
+    """
+    if not pool or pool[-1] != newest:
+        return combinations(pool, width)
+    return (head + (newest,) for head in combinations(pool[:-1], width - 1)) if width else iter(())
 
 
 def exact_capacity(
@@ -252,6 +336,21 @@ def exact_capacity(
     columns are those that show, in each of them, a symbol the key holds.
     That set depends on the key alone, so its complement is memoized for the
     call.  Key 0 means every row is bad: it forbids every candidate.
+
+    The key of a holed tuple through the joiner c, a column joining the
+    chosen set P, needs only c's vertex mask and four facts about P's
+    members in the tuple: bad_P, the rows where two parts share a symbol;
+    other, the vertices of the parts c does not join; out, those of the
+    parts after the hole; and whether c joins the hole.  A row is bad iff
+    two different parts share a symbol there: two parts of P-members do
+    so in bad_P's rows, and c shares one with a part it does not join
+    exactly where masks[c] & other has a bit.  Filling a row's field
+    distributes over OR (the field of fill(a | b) is full iff that field
+    of a or of b is nonzero), so bad(c) = bad_P | fill(masks[c] & other),
+    and the key is out & ~bad(c) when c joins the hole, else
+    (out | masks[c]) & ~bad(c).  The tuples from P are those from each
+    prefix of P through its last column, so each frame walks only the
+    ones through its newest column and links them onto its parent's chain.
     """
     w = normalize_weights(weights)
     if w.t < 2:
@@ -290,76 +389,47 @@ def exact_capacity(
             by_row[v // q] = by_row.get(v // q, 0) | incidence[v]
         return everything ^ reduce(and_, by_row.values(), everything)
 
-    def survivors(chosen, cand):
-        # The candidates that complete no unseparated tuple with `chosen`.
-        # cand and the result are bitmasks of column indices.  Only tuples
-        # through both chosen[-1] and the candidate are examined; the rest
-        # were vetted one level up.  Such a tuple minus the candidate is a
-        # "holed" tuple from `chosen`: sizes W with one part (the hole) one
-        # short.  Each holed tuple keeps only spared[key], key being the
-        # vertices of its members outside the hole off its bad rows.
-        if len(chosen) < u - 1 or not cand:
-            return cand
-        col = chosen[-1]
-        allowed = cand
-        for slots in layouts:
-            # Each frame fills slot k: its untried combinations, bad (the
-            # q-bit fields of the rows where two filled parts share a symbol),
-            # seen (the filled parts' vertices), out (those after the hole,
-            # slot 0) and avail (the ascending columns left).  The last
-            # slot is never the hole: its combinations are the leaves.
-            last, (size, has_col, _) = len(slots) - 1, slots[0]
-            stack = [(0, combinations(chosen[:-1], size - has_col), 0, 0, 0, chosen[:-1])]
-            while stack:
-                k, combos, bad, seen, out, avail = stack[-1]
-                base = masks[col] if slots[k][1] else 0
-                for combo in combos:
-                    syms = base
-                    for x in combo:
-                        syms |= masks[x]
-                    b, shared = bad, syms & seen
-                    if shared:
-                        # A field's top bit is set iff the field is nonzero:
-                        # adding body carries into it from any lower bit, and
-                        # no carry leaves the field.  Then fill each such field.
-                        hit = ((shared & body) + body | shared) & top
-                        b |= (hit << 1) - (hit >> (q - 1))
-                    if k == last:
-                        key = (out | syms) & ~b
-                        kept = spared.get(key)
-                        if kept is None:
-                            kept = spared[key] = spare(key)
-                        allowed &= kept
-                        if not allowed:
-                            return 0
-                        continue
-                    size, has_col, run = slots[k + 1]
-                    rest = avail.copy()
-                    for x in combo:
-                        rest.remove(x)
-                    pool = rest[bisect(rest, combo[0]) :] if run else rest
-                    # Too few columns above combo[0] for the run: no leaf lies
-                    # below this or any later combination.  End the frame.
-                    if len(pool) < run:
-                        stack.pop()
-                        break
-                    nxt = combinations(pool, size - has_col)
-                    stack.append((k + 1, nxt, b, seen | syms, out | syms if k else 0, rest))
-                    break
-                else:
-                    stack.pop()
+    def survivors(links, col, allowed):
+        # The candidates in allowed that complete no unseparated tuple with
+        # the chosen set and col.  Only tuples through col are examined; the
+        # rest were vetted one level up.  Such a tuple minus the candidate
+        # is a holed tuple through col, on the chain without col.  Each
+        # keeps only spared[key], key being the vertices of its members
+        # outside the hole off its bad rows.
+        vertices = masks[col]
+        while links and allowed:
+            tuples, links = links
+            for bad, other, out, into_hole in tuples:
+                shared = vertices & other
+                if shared:
+                    hit = ((shared & body) + body | shared) & top
+                    bad |= (hit << 1) - (hit >> (q - 1))
+                key = (out if into_hole else out | vertices) & ~bad
+                kept = spared.get(key)
+                if kept is None:
+                    kept = spared[key] = spare(key)
+                allowed &= kept
+                if not allowed:
+                    return 0
         return allowed
 
-    # Each frame: the depth of its chosen set, path[:depth], and its
-    # candidates not yet tried (a bitmask, tried in ascending order).  The
-    # frames' chosen sets are prefixes of one shared path, as each frame
-    # lies above the shallower ones.  Canonical: the all-zero column is
-    # index 0.  No root filter: a lone column and a candidate are
-    # unseparated only if u = 2 and equal.
+    # Each frame: the depth of its chosen set, path[:depth], its candidates
+    # not yet tried (a bitmask, tried in ascending order), links and fresh.
+    # The frames' chosen sets are prefixes of one shared path, as each frame
+    # lies above the shallower ones.  links is the chain of holed tuples
+    # from the chosen set, a (tuples, parent links) pair or None, which a
+    # fresh frame extends at its first expansion by those through its
+    # newest column (an empty list is not linked).  Those need u-2 chosen
+    # columns, so none come before depth u-2, where each uses every chosen
+    # column.  Only {1,1} (u = 2) has a tuple with no chosen member: the
+    # root's chain holds it.  Canonical: the all-zero column is index 0.
+    # No root filter: a lone column and a candidate are unseparated only
+    # if u = 2 and equal.
     path = [0]
-    stack = [(1, everything ^ 1)]
+    empty = _holed_tuples(layouts, masks, [], q, body, top)
+    stack = [(1, everything ^ 1, (empty, None) if empty else None, True)]
     while stack:
-        depth, cand = stack.pop()
+        depth, cand, links, fresh = stack.pop()
         del path[depth:]
         if depth > len(best):
             best = path[:]
@@ -370,12 +440,16 @@ def exact_capacity(
             # Drop the frame.  Each frame below that resumes past its bound
             # counts one more node and drops too: the documented over-count.
             continue
+        if fresh and 0 < u - 2 <= depth:
+            tuples = _holed_tuples(layouts, masks, path, q, body, top)
+            if tuples:
+                links = (tuples, links)
         # col passed the filter as each chosen column joined: no recheck.
         col = (cand & -cand).bit_length() - 1
         cand ^= 1 << col  # now the candidates after col
-        stack.append((depth, cand))
+        stack.append((depth, cand, links, False))
         path.append(col)
-        stack.append((depth + 1, survivors(path, cand)))
+        stack.append((depth + 1, survivors(links, col, cand), links, True))
     elapsed = time.perf_counter() - start
     # Fewer than u-1 distinct columns exist, or the budget tripped first:
     # u-1 copies of column 0 (all-zero) still have no tuple to violate.

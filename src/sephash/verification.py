@@ -160,6 +160,9 @@ def find_violation(m: Matrix, weights) -> ViolationWitness | None:
     reach[z], the OR of completed parts' agreement rows with z; the last
     part is the first free combination whose reach covers the rows not yet
     bad (_first_cover).  The pass is one loop, a stack frame per leading part.
+    A frame ends once its part leaves fewer free columns above its smallest
+    member than the rest of its equal-size run needs: every later
+    combination starts higher, so no witness lies there.
     """
     sizes = normalize_weights(weights).weights
     n = m.cols
@@ -176,6 +179,10 @@ def find_violation(m: Matrix, weights) -> ViolationWitness | None:
     agreement_row = agreement.row
     full = (1 << m.rows) - 1
     last = len(sizes) - 1
+    # runs[k]: when part k is as large as part k-1, the columns above part
+    # k-1's smallest member that part k and the rest of its equal-size run
+    # need (size times those parts); else 0.
+    runs = [v * sizes[k:].count(v) if k and sizes[k - 1] == v else 0 for k, v in enumerate(sizes)]
     # Each frame: part k's untried combinations, then bad, reach, the
     # completed parts (k of them) and the ascending columns outside them.
     stack = [(combinations(range(n), sizes[0]), 0, [0] * n, (), list(range(n)))]
@@ -189,7 +196,13 @@ def find_violation(m: Matrix, weights) -> ViolationWitness | None:
                 grown = list(map(or_, grown, agreement_row(x)))
                 rest.remove(x)
             # Equal-size neighbours ascend by smallest member.
-            pool = rest[bisect(rest, part[0]) :] if sizes[k + 1] == sizes[k] else rest
+            run = runs[k + 1]
+            pool = rest[bisect(rest, part[0]) :] if run else rest
+            # Too few columns above part[0] for the run: every later
+            # combination starts higher, so no witness lies in this frame.
+            if len(pool) < run:
+                stack.pop()
+                break
             if k + 1 == last:
                 cover = _first_cover(grown, full & ~b, sizes[last], pool)
                 if cover is not None:

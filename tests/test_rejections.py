@@ -24,7 +24,14 @@ from sephash.bounds import (
     small_alphabet_bound,
     trung_bound,
 )
-from sephash.coverfree import cff_derived, cff_is_shf_check, is_cff, shf_to_cff_double
+from sephash.coverfree import (
+    cff_derived,
+    cff_is_shf_check,
+    cover_free_threshold_lower,
+    frameproof_threshold_bounds,
+    is_cff,
+    shf_to_cff_double,
+)
 from sephash.hypergraph import PartiteHypergraph
 from sephash.matrix import Matrix, SeparationType, group_rows
 from sephash.search import (
@@ -75,6 +82,8 @@ REJECTIONS = [
     ("grouping_composition_bound lossy N", lambda: grouping_composition_bound(3.5, 2, [1, 2]), ValueError, "N 3.5 is not an integer"),
     ("johnson_step lossy q", lambda: johnson_step(4, 2.5, [1, 2], 1, 1), ValueError, "q 2.5 is not an integer"),
     ("johnson_step lossy N", lambda: johnson_step(4.5, 2, [1, 2], 1, 1), ValueError, "N 4.5 is not an integer"),
+    ("johnson_step lossy length", lambda: johnson_step(4, 2, [1, 2], 1.5, 1), ValueError, "step length 1.5 is not an integer"),
+    ("johnson_step lossy i", lambda: johnson_step(4, 2, [1, 2], 1, 1.5), ValueError, "weight position 1.5 is not an integer"),
     ("johnson_recursive_bound lossy q", lambda: johnson_recursive_bound(3, 2.5, [1, 2]), ValueError, "q 2.5 is not an integer"),
     ("johnson_recursive_bound lossy N", lambda: johnson_recursive_bound(3.5, 2, [1, 2]), ValueError, "N 3.5 is not an integer"),
     ("prob_lower_bound lossy q", lambda: prob_lower_bound(3, 2.5, [1, 1]), ValueError, "q 2.5 is not an integer"),
@@ -93,6 +102,12 @@ REJECTIONS = [
     ("cff_derived full member", lambda: cff_derived(FULL_MEMBER, 0, 2), PreconditionError, "covers every row"),
     ("cff_is_shf_check not cover-free", lambda: cff_is_shf_check(COVERED, 1), PreconditionError, "not w-cover-free"),
     ("shf_to_cff_double w<1", lambda: shf_to_cff_double(BINARY, 0), ValueError, "w must be positive"),
+    ("is_cff lossy w", lambda: is_cff(BINARY, 1.5), ValueError, "w 1.5 is not an integer"),
+    ("cff_derived lossy w", lambda: cff_derived(BINARY, 0, 2.5), ValueError, "w 2.5 is not an integer"),
+    ("cff_derived lossy member", lambda: cff_derived(BINARY, 0.5, 2), ValueError, "member 0.5 is not an integer"),
+    ("shf_to_cff_double lossy w", lambda: shf_to_cff_double(BINARY, 1.5), ValueError, "w 1.5 is not an integer"),
+    ("cover_free_threshold_lower lossy w", lambda: cover_free_threshold_lower(1.5), ValueError, "w 1.5 is not an integer"),
+    ("frameproof_threshold_bounds lossy w", lambda: frameproof_threshold_bounds(3.5), ValueError, "w 3.5 is not an integer"),
     # hypergraph.py
     ("PartiteHypergraph no parts", lambda: PartiteHypergraph(0, 2, ()), ValueError, "at least one part"),
     ("PartiteHypergraph float symbol", lambda: PartiteHypergraph(2, 2, ((1.0, 0),)), ValueError, "not an int"),
@@ -109,11 +124,19 @@ REJECTIONS = [
     ("SeparationType.of nan", lambda: SeparationType.of([float("nan"), 2]), ValueError, "weight nan is not an integer"),
     ("SeparationType.parse non-integer", lambda: SeparationType.parse("1,x"), ValueError, "bad type spec '1,x'"),
     ("group_rows a<1", lambda: group_rows(BINARY, 0), ValueError, "group size must be >= 1"),
+    ("group_rows lossy a", lambda: group_rows(BINARY, 1.5), ValueError, "group size 1.5 is not an integer"),
     # search.py
     ("identity_construction N<2", lambda: identity_construction(1, 1), PreconditionError, "at least 2 rows"),
     ("reed_solomon_frameproof composite q", lambda: reed_solomon_frameproof(4, 2, 2), PreconditionError, "4 is not prime"),
     ("reed_solomon_frameproof w<1", lambda: reed_solomon_frameproof(5, 3, 0), PreconditionError, "w must be positive"),
     ("cyclic_overlap_matrix k<3", lambda: cyclic_overlap_matrix(2, 5), ValueError, "need k >= 3"),
+    ("identity_construction lossy N", lambda: identity_construction(3.5, 1), ValueError, "N 3.5 is not an integer"),
+    ("identity_construction lossy w", lambda: identity_construction(3, 1.5), ValueError, "w 1.5 is not an integer"),
+    ("reed_solomon_frameproof lossy q", lambda: reed_solomon_frameproof(5.5, 3, 2), ValueError, "q 5.5 is not an integer"),
+    ("reed_solomon_frameproof lossy N", lambda: reed_solomon_frameproof(5, 3.5, 2), ValueError, "N 3.5 is not an integer"),
+    ("reed_solomon_frameproof lossy w", lambda: reed_solomon_frameproof(5, 3, 2.5), ValueError, "w 2.5 is not an integer"),
+    ("cyclic_overlap_matrix lossy k", lambda: cyclic_overlap_matrix(4.5, 3), ValueError, "k 4.5 is not an integer"),
+    ("cyclic_overlap_matrix lossy q", lambda: cyclic_overlap_matrix(4, 3.5), ValueError, "q 3.5 is not an integer"),
     ("exact_capacity t<2", lambda: exact_capacity(2, 2, [2]), ValueError, "at least two parts"),
     ("exact_capacity N<1", lambda: exact_capacity(0, 2, [1, 1]), ValueError, "need N >= 1"),
     ("exact_capacity lossy N", lambda: exact_capacity(2.5, 2, [1, 1]), ValueError, "N 2.5 is not an integer"),
@@ -154,6 +177,12 @@ def test_rejects_bad_input(call, error, fragment):
 # An integral float passes the gate as the int it equals.
 INTEGRAL = [
     ("trung_bound q", lambda: trung_bound(2.0, [1, 2]).params["q"], lambda: 2),
+    ("johnson_step length", lambda: johnson_step(5, 3, (2, 2), 2.0, 1).value, lambda: johnson_step(5, 3, (2, 2), 2, 1).value),
+    ("identity_construction N", lambda: identity_construction(3.0, 1), lambda: identity_construction(3, 1)),
+    ("reed_solomon_frameproof q", lambda: reed_solomon_frameproof(5.0, 3, 2), lambda: reed_solomon_frameproof(5, 3, 2)),
+    ("cyclic_overlap_matrix k", lambda: cyclic_overlap_matrix(4.0, 3), lambda: cyclic_overlap_matrix(4, 3)),
+    ("is_cff w", lambda: is_cff(COVERED, 1.0), lambda: is_cff(COVERED, 1)),
+    ("group_rows a", lambda: group_rows(BINARY, 2.0), lambda: group_rows(BINARY, 2)),
     ("exact_capacity q", lambda: exact_capacity(2, 2.0, [1, 1]).q, lambda: 2),
     ("exact_capacity value", lambda: exact_capacity(2, 2.0, [1, 1]).value, lambda: exact_capacity(2, 2, [1, 1]).value),
     ("rainbow_free_extremal_search parts", lambda: rainbow_free_extremal_search(3.0, 2, [3]).hypergraph.parts, lambda: 3),

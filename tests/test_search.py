@@ -1,11 +1,16 @@
 """Tests for constructions and the exact capacity search."""
 
+import hashlib
+import json
 import os
 import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
+from functools import reduce
 from itertools import combinations, permutations, product
+from operator import or_
 from pathlib import Path
 
 import pytest
@@ -19,6 +24,8 @@ from sephash.search import (
     CertificationError,
     _doomed,
     _free_part_pairs,
+    _holed_layouts,
+    _holed_tuples,
     cyclic_overlap_matrix,
     exact_capacity,
     identity_construction,
@@ -360,6 +367,21 @@ class TestExactCapacity:
         assert (r.value, r.nodes, r.exact) == (1600, 1599, True)
         assert peak < 4_000_000
 
+    def test_wide_family_holed_tuples_are_chained(self):
+        # {1,2} has holed tuples through every chosen column.  Each frame
+        # links only those through its newest column onto its parent's
+        # chain.  Under CPython 3.11 the chain peaked at 9.3 MB, most of it
+        # the spared memo; every tuple built again in a list per frame
+        # peaked at 26.5 MB.
+        tracemalloc.start()
+        try:
+            r = exact_capacity(1, 300, [1, 2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (r.value, r.nodes, r.exact) == (300, 299, True)
+        assert peak < 15_000_000
+
     def test_depth_does_not_depend_on_the_recursion_limit(self):
         script = (
             "import sys\n"
@@ -653,6 +675,92 @@ def test_capacity_matches_reference_search(n_rows, q, weights, budget):
     r = exact_capacity(n_rows, q, weights, node_budget=budget)
     value, nodes, exact, witness = reference_capacity(n_rows, q, weights, node_budget=budget)
     assert (r.value, r.nodes, r.exact, r.witness) == (value, nodes, exact, witness)
+
+
+@pytest.mark.slow
+def test_capacity_sweep_is_byte_identical():
+    """Every capacity result of a 675-run sweep, as recorded before the
+    holed-tuple chain replaced the per-child walk.
+
+    Nine types, every (N, q) with q <= 4 and q**N <= 300, and budgets of
+    7, 500 and 20,000 nodes: one JSON line per run (elapsed_seconds left
+    out, keys sorted), hashed in order.  A change that alters node
+    counts on purpose, such as ROADMAP item 4 (symmetry breaking) or
+    item 7 (an exact node budget), re-records this digest and says so.
+    """
+    types = [(1, 1), (1, 2), (2, 2), (1, 3), (1, 1, 1), (1, 1, 2), (2, 3), (1, 2, 2), (1, 1, 1, 1)]
+    points = [(n_rows, q) for q in range(1, 5) for n_rows in range(1, 9) if q**n_rows <= 300]
+    digest = hashlib.sha256()
+    for weights in types:
+        for n_rows, q in points:
+            for budget in (7, 500, 20_000):
+                d = exact_capacity(n_rows, q, weights, node_budget=budget).as_json_dict()
+                del d["elapsed_seconds"]
+                digest.update((json.dumps(d, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == "2a44197f989478120cc9682c6d7401cffb6bb7296fba611cfc4f5896df4baf9f"
+
+
+def _brute_holed_tuples(weights, masks, prior, n_rows, q):
+    """Counter of (bad, other, out, into_hole) over the holed tuples from prior.
+
+    From the definition: a holed tuple is a part tuple of type W less one
+    member of one part, the hole.  Its members are the joiner (here -1) and
+    u-2 columns of prior.  Every split of every such member set is built,
+    and each unordered tuple (its parts told apart by members alone) is
+    counted once.  bad holds the full q-bit field of each row where two
+    parts show a common symbol; joiner vertices count nowhere.
+    """
+    found = set()
+    for hole in set(weights):
+        rest = list(weights)
+        rest.remove(hole)
+        sizes = [hole - 1, *rest]
+        for members in combinations(prior, sum(sizes) - 1):
+            for order in permutations((-1, *members)):
+                ends = [sum(sizes[: i + 1]) for i in range(len(sizes))]
+                parts = [frozenset(order[end - size : end]) for size, end in zip(sizes, ends)]
+                found.add((parts[0], frozenset(parts[1:])))
+
+    def symbols(part, r):
+        return {s for x in part if x >= 0 for s in range(q) if masks[x] >> (r * q + s) & 1}
+
+    def vertices(parts):
+        return reduce(or_, (masks[x] for part in parts for x in part if x >= 0), 0)
+
+    tally = Counter()
+    for hole, others in found:
+        parts = [hole, *others]
+        bad = sum(
+            ((1 << q) - 1) << (r * q)
+            for r in range(n_rows)
+            if any(a & b for a, b in combinations([symbols(p, r) for p in parts], 2))
+        )
+        other = vertices(p for p in parts if -1 not in p)
+        tally[bad, other, vertices(others), -1 in hole] += 1
+    return tally
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [(1, 1), (1, 3), (2, 2), (1, 2, 2), (2, 2, 2), (2, 2, 3), (1, 1, 2, 2)],
+    ids=lambda w: ",".join(map(str, w)),
+)
+def test_holed_tuples_match_brute_force(weights):
+    # Chained over the prefixes of prior, as exact_capacity's frames link
+    # them, the walks give every holed tuple from prior once, equal-size
+    # parts of size 2 and more included.
+    rng = random.Random(",".join(map(str, weights)))
+    layouts = _holed_layouts(weights)
+    for _ in range(25):
+        n_rows, q = rng.randint(1, 3), rng.randint(2, 3)
+        masks = [sum(1 << (r * q + rng.randrange(q)) for r in range(n_rows)) for _ in range(30)]
+        prior = sorted(rng.sample(range(30), rng.randint(0, 6)))
+        low = sum(1 << (r * q) for r in range(n_rows))
+        top = low << (q - 1)
+        chained = Counter()
+        for end in range(len(prior) + 1):
+            chained.update(_holed_tuples(layouts, masks, prior[:end], q, top - low, top))
+        assert chained == _brute_holed_tuples(weights, masks, prior, n_rows, q)
 
 
 class TestCapacityLaws:

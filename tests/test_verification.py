@@ -118,6 +118,24 @@ class TestFindViolation:
         monkeypatch.setattr(verification, "_first_cover", search_ran)
         assert find_violation(Matrix(((0, 0, 0), (1, 1, 1)), 2), [2]) is None
 
+    def test_equal_size_run_ends_dead_frames(self, monkeypatch):
+        # 40 singletons on 40 columns make one tuple, which the all-distinct
+        # row separates; the all-zero row defeats the distance certificate.
+        # Without the run test about 2**39 prefixes reach a cover search.
+        searched = []
+
+        def first_cover(*args):
+            searched.append(args)
+            if len(searched) > 1:
+                raise AssertionError("a dead prefix reached the cover search")
+            return real(*args)
+
+        real = verification._first_cover
+        monkeypatch.setattr(verification, "_first_cover", first_cover)
+        m = Matrix((tuple(range(40)), (0,) * 40), 40)
+        assert find_violation(m, [1] * 40) is None
+        assert len(searched) == 1
+
     def test_witness_sound(self, chain4):
         w = find_violation(chain4, [2, 2])
         for f in range(chain4.rows):
