@@ -45,9 +45,15 @@ rainbow_free_extremal_search adds candidate edges in lexicographic order.
 Each node carries its live candidates as one bitmask, as exact_capacity's
 stack frames do.  When an edge joins, two masks leave the child's: the
 candidates sharing two vertices with it (ANDs of its per-part agreement
-masks) and _doomed's, those closing a rainbow cycle through it.  That mask
-is built once per descent by joining pairs of "arms", rainbow paths from
-the new edge over chosen edges, so no candidate is walked on its own.
+masks) and _doomed's, those closing a rainbow cycle through it.  The first,
+like the edge's near mask (the candidates sharing a vertex with it),
+depends on the edge alone, so each is built when the edge first joins and
+kept for the call.  _doomed's mask is built once per descent by joining
+pairs of "arms", rainbow paths from the new edge over chosen edges, so no
+candidate is walked on its own.  An arm grows over the chosen edges in its
+end's near mask, not over the parts: the chosen edges and the new one are
+pairwise linear, so two of them share at most one vertex, one bit of
+their vertex masks, whose part is read off the bit's index.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, product
-from operator import and_
+from operator import and_, or_
 
 from .bounds import _log_miss
 from .hypergraph import (
@@ -550,48 +556,72 @@ def _free_part_pairs(parts):
     ]
 
 
-def _doomed(i, chosen, ks, edges_at, free_pairs):
+def _arm_splits(ks):
+    """The (short, rest) arm lengths of a k-cycle, k in ks, by ascending rest.
+
+    A cycle of length k through the new edge and a candidate leaves two
+    arms of lengths summing to k - 2; short <= rest lists each split once.
+    """
+    splits = [(k - 2 - rest, rest) for k in ks for rest in range((k - 1) // 2, k - 1)]
+    return sorted(splits, key=lambda split: split[1])
+
+
+def _doomed(i, chosen, splits, q, masks, near, edges_at, free_pairs):
     """Candidates that close a rainbow k-cycle, k in ks, through edge i.
 
-    chosen is a bitmask of candidate indices (i not among them) and ks the
-    ascending cycle lengths; edges_at comes from hypergraph._cube, where
-    edges_at[e][p] holds the candidates through edge e's vertex in part p,
-    and free_pairs from _free_part_pairs.  Exact for every candidate c
+    chosen is a bitmask of candidate indices (i not among them), splits
+    _arm_splits(ks) and q the part size.  masks and edges_at come from
+    hypergraph._cube: masks[e] is edge e's vertex mask and edges_at[e][p]
+    holds the candidates through its vertex in part p.  near[e] holds the
+    candidates that share a vertex with e, for i and every chosen e, and
+    free_pairs comes from _free_part_pairs.  Exact for every candidate c
     linear with the chosen edges and i, the only ones the search asks
     about.  Linearity leaves consecutive cycle edges exactly one shared
     vertex, so a rainbow k-cycle through c and i, with c left out, is a
     path through i between c's two neighbours.  Split at i, it is two
     "arms": rainbow paths from i over chosen edges, of lengths summing to
-    k - 2, that share no edge and no part.  c then meets one arm's end in
-    a part a and the other's in a part b, both free.
+    k - 2, that share no edge and no part.  c then meets one arm's end in a
+    part a and the other's in a part b, both free.
+
+    An arm grows by a chosen edge off its path that meets its end in a part
+    the arm has not used.  So it walks the chosen edges off its path that
+    meet its end, near[end] & chosen & ~path, not the parts.  The chosen
+    edges and i are pairwise linear, so such an edge e shares exactly one
+    vertex with the end: masks[end] & masks[e] has one bit, and that
+    vertex's part is the bit's index // q.  Every arm has a shorter arm as
+    its prefix, so once some length has no arm no longer one exists: the
+    growth stops there, and only the splits whose longer arm exists are
+    paired.
     """
-    parts = len(edges_at[i])
     # arms[length]: (end, used parts, edges beyond i) of each arm.
     arms = [[(i, 0, 0)]]
-    for _ in range(ks[-1] - 2):
+    for _ in range(splits[-1][1]):
         grown = []
         for end, used, path in arms[-1]:
-            for p in range(parts):
-                if used >> p & 1:
-                    continue
-                nxt = edges_at[end][p] & chosen & ~path
-                while nxt:
-                    low = nxt & -nxt
-                    nxt ^= low
-                    grown.append((low.bit_length() - 1, used | 1 << p, path | low))
+            vertices = masks[end]
+            nxt = near[end] & chosen & ~path
+            while nxt:
+                low = nxt & -nxt
+                nxt ^= low
+                e = low.bit_length() - 1
+                part = 1 << ((vertices & masks[e]).bit_length() - 1) // q
+                if not used & part:
+                    grown.append((e, used | part, path | low))
+        if not grown:
+            break
         arms.append(grown)
     doomed = 0
-    for k in ks:
-        for short in range((k - 2) // 2 + 1):
-            rest = k - 2 - short
-            for x, (end1, used1, path1) in enumerate(arms[short]):
-                # Equal lengths: each unordered pair of arms once.
-                for end2, used2, path2 in arms[rest][x + 1 :] if short == rest else arms[rest]:
-                    if used1 & used2 or path1 & path2:
-                        continue
-                    at1, at2 = edges_at[end1], edges_at[end2]
-                    for a, b in free_pairs[used1 | used2]:
-                        doomed |= at1[a] & at2[b] | at1[b] & at2[a]
+    for short, rest in splits:
+        if rest >= len(arms):
+            break
+        for x, (end1, used1, path1) in enumerate(arms[short]):
+            # Equal lengths: each unordered pair of arms once.
+            for end2, used2, path2 in arms[rest][x + 1 :] if short == rest else arms[rest]:
+                if used1 & used2 or path1 & path2:
+                    continue
+                at1, at2 = edges_at[end1], edges_at[end2]
+                for a, b in free_pairs[used1 | used2]:
+                    doomed |= at1[a] & at2[b] | at1[b] & at2[a]
     return doomed
 
 
@@ -608,7 +638,12 @@ def rainbow_free_extremal_search(
     close no cycle through i (not in _doomed's mask).  Inheriting `alive`
     is exact: a candidate that is not linear with, or closes a cycle with,
     some chosen edges still does once i joins them, and a cycle that i
-    makes possible passes through i.  The diagonal matching seeds the
+    makes possible passes through i.  Both masks of a candidate, the one
+    of the candidates it conflicts with (the OR over part pairs a < b of
+    its agreement masks' ANDs) and near, those sharing a vertex with it,
+    depend on the candidate alone, not on the node: each is built when the
+    candidate first joins and kept for the call, never for a candidate
+    that never joins.  The diagonal matching seeds the
     search, so the result always has at least part_size edges.  node_budget
     must be an integer of at least 1; budget overruns return the best found,
     flagged uncertified: only a trip brings the count to the budget, so
@@ -640,9 +675,13 @@ def rainbow_free_extremal_search(
     if _integer(node_budget, "node_budget") < 1:
         raise ValueError("need node_budget >= 1")
     q = part_size
-    candidates, _, edges_at, _ = _cube(parts, q)
+    candidates, masks, edges_at, _ = _cube(parts, q)
     n = len(candidates)
     free_pairs = _free_part_pairs(parts)
+    splits = _arm_splits(ks)
+    # near[idx], conflicts[idx]: the candidates sharing a vertex, and two
+    # vertices, with idx; built when idx first joins, kept for the call.
+    near, conflicts = {}, {}
     # Seed: pairwise disjoint diagonal edges share no vertex, hence no cycle.
     best = [tuple(s for _ in range(parts)) for s in range(q)]
     nodes = 0
@@ -679,13 +718,14 @@ def rainbow_free_extremal_search(
                 return
             alive ^= 1 << idx
             start = idx + 1
-            at = edges_at[idx]
-            conflict = 0
-            for a, b in free_pairs[0]:
-                conflict |= at[a] & at[b]
+            conflict = conflicts.get(idx)
+            if conflict is None:
+                at = edges_at[idx]
+                near[idx] = reduce(or_, at)
+                conflict = conflicts[idx] = reduce(or_, [at[a] & at[b] for a, b in free_pairs[0]], 0)
             child = alive & ~conflict
             if child:
-                child &= ~_doomed(idx, chosen, ks, edges_at, free_pairs)
+                child &= ~_doomed(idx, chosen, splits, q, masks, near, edges_at, free_pairs)
             dfs(chosen | 1 << idx, child)
 
     dfs(0, (1 << n) - 1)

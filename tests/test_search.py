@@ -22,6 +22,7 @@ from sephash.matrix import Matrix, write_matrix
 from sephash.search import (
     CapacityResult,
     CertificationError,
+    _arm_splits,
     _doomed,
     _free_part_pairs,
     _holed_layouts,
@@ -610,6 +611,24 @@ def _linear_with(e, edges):
     return all(sum(a == b for a, b in zip(e, f)) <= 1 for f in edges)
 
 
+def _doomed_over_cube(i, others, parts, q, ks):
+    """The candidates of range(q)**parts and _doomed's mask for edge i and
+    the chosen edges others, with every candidate's near mask built."""
+    candidates, masks, edges_at, _ = _cube(parts, q)
+    chosen = sum(1 << candidates.index(e) for e in others)
+    near = [reduce(or_, at) for at in edges_at]
+    splits, pairs = _arm_splits(ks), _free_part_pairs(parts)
+    return candidates, _doomed(candidates.index(i), chosen, splits, q, masks, near, edges_at, pairs)
+
+
+@pytest.mark.parametrize(
+    "ks, splits",
+    [((3,), [(0, 1)]), ((4,), [(1, 1), (0, 2)]), ((3, 6), [(0, 1), (2, 2), (1, 3), (0, 4)])],
+)
+def test_arm_splits(ks, splits):
+    assert _arm_splits(ks) == splits
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_doomed_matches_definition(data):
@@ -625,9 +644,7 @@ def test_doomed_matches_definition(data):
         if len(edges) < 8 and _linear_with(e, edges):
             edges.append(e)
     i = edges[data.draw(st.integers(0, len(edges) - 1))]
-    candidates, _, edges_at, _ = _cube(parts, q)
-    chosen = sum(1 << candidates.index(e) for e in edges if e != i)
-    doomed = _doomed(candidates.index(i), chosen, ks, edges_at, _free_part_pairs(parts))
+    candidates, doomed = _doomed_over_cube(i, [e for e in edges if e != i], parts, q, ks)
     for c, e in enumerate(candidates):
         if e not in edges and _linear_with(e, edges):
             assert (doomed >> c & 1) == _brute_cycle_through(e, edges, parts, ks, via=i)
@@ -641,10 +658,35 @@ def test_doomed_needs_edge_disjoint_arms():
     j = (3, 3, 3, 3, 3, 1)
     assert _linear_with(j, [i, e, b, g])
     assert not _brute_cycle_through(j, [i, e, b, g], 6, (6,), via=i)
-    candidates, _, edges_at, _ = _cube(6, 4)
-    chosen = sum(1 << candidates.index(x) for x in (e, b, g))
-    doomed = _doomed(candidates.index(i), chosen, (6,), edges_at, _free_part_pairs(6))
+    candidates, doomed = _doomed_over_cube(i, [e, b, g], 6, 4, (6,))
     assert not doomed >> candidates.index(j) & 1
+
+
+def test_doomed_is_empty_when_no_chosen_edge_meets_i():
+    # The chosen path (1,1,1,1)-(1,2,2,2)-(3,2,3,3) misses i, so i has no
+    # arm beyond itself and no cycle runs through it.
+    i, chosen = (0,) * 4, [(1, 1, 1, 1), (1, 2, 2, 2), (3, 2, 3, 3)]
+    assert _linear_with(i, chosen)
+    candidates, doomed = _doomed_over_cube(i, chosen, 4, 4, (3, 4))
+    assert doomed == 0
+    edges = [i, *chosen]
+    for e in candidates:
+        if e not in edges and _linear_with(e, edges):
+            assert not _brute_cycle_through(e, edges, 4, (3, 4), via=i)
+
+
+def test_rainbow_free_candidate_masks_are_built_lazily():
+    # 15,625 candidate edges, each mask a 15,625-bit int.  Under CPython
+    # 3.11 the search peaked at 3.6 MiB with masks built as edges join; a
+    # conflict mask per candidate built up front took about 32 MB.
+    tracemalloc.start()
+    try:
+        r = rainbow_free_extremal_search(6, 5, (3, 4, 5, 6), node_budget=50_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not r.certified
+    assert peak < 8 * 2**20
 
 
 @settings(max_examples=100, deadline=None)
