@@ -605,6 +605,7 @@ class SimplexMax:
 
 def equal_weight_max_rate(t: int, w: int) -> float:
     """Closed-form simplex maximum for t equal weights w: t! * (1/t)**(t(w-1))."""
+    t, w = _integer(t, "t"), _integer(w, "w")
     if t < 2:
         raise ValueError("need t >= 2")
     if w < 2:

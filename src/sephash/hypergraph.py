@@ -27,7 +27,7 @@ from functools import reduce
 from itertools import combinations, product
 from operator import or_
 
-from .matrix import Matrix, _certify
+from .matrix import Matrix, _certify, _integer
 from .verification import ViolationWitness, _Agreement, row_separates
 
 
@@ -141,16 +141,14 @@ def _cube(parts: int, q: int):
     """Every point of range(q)**parts, in lexicographic order, with its masks.
 
     The exact searches take these points as candidate columns or edges.
-    Returns (points, masks, agree, incidence): masks[j] is point j's vertex
-    mask (_vertex_masks), incidence[v] the points through vertex v
-    (_incidence), and agree[j][p] = incidence[p*q + points[j][p]], the
-    points that share point j's symbol in part p.
+    Returns (points, masks, incidence): masks[j] is point j's vertex mask
+    (_vertex_masks) and incidence[v] the points through vertex v
+    (_incidence).  The points sharing point j's symbol in part p are
+    incidence[p*q + points[j][p]]; a search builds those where it reads them.
     """
     points = list(product(range(q), repeat=parts))
     masks = _vertex_masks(points, q)
-    incidence = _incidence(masks, parts * q)
-    agree = [tuple(incidence[p * q + s] for p, s in enumerate(x)) for x in points]
-    return points, masks, agree, incidence
+    return points, masks, _incidence(masks, parts * q)
 
 
 def _bits(mask: int):
@@ -172,6 +170,7 @@ def find_rainbow_cycle(h: PartiteHypergraph, k: int) -> RainbowCycle | None:
     iterate k = 3..r ascending.  Memory grows with the edge count, not with
     part_size: the masks use per-part symbol ranks, which keep the order.
     """
+    k = _integer(k, "cycle length")
     if not 3 <= k <= h.parts:
         raise ValueError(f"cycle length must lie in [3, {h.parts}]")
     m = len(h.edges)

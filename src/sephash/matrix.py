@@ -133,7 +133,7 @@ class Matrix:
 
     def submatrix(self, column_indices) -> "Matrix":
         """Matrix restricted to the given columns, in the given order."""
-        idx = list(column_indices)
+        idx = [_integer(j, "column index") for j in column_indices]
         for j in idx:
             if not 0 <= j < self.cols:
                 raise IndexError(f"column index {j} out of range")

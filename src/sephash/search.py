@@ -10,14 +10,15 @@ also runs under python -O).  random_shf_alteration prunes until the oracle
 accepts and returns the matrix that last call accepted, with no second call.
 
 Both exact searches take their candidate space from hypergraph._cube: all
-q**N columns (or edges) in lexicographic order, each with its vertex mask
-and, per row (part), the bitmask of candidates sharing its symbol there.
-exact_capacity runs one loop over an explicit stack of frames, whose
-chosen sets are prefixes of one shared path and whose holed-tuple lists
-hang on one persistent chain (memory linear in the depth and in the
-tuples); rainbow_free_extremal_search runs one recursive dfs closure on
-the chosen and live edge bitmasks.  Neither keeps more: sizes are popcounts,
-and a search is complete iff it counted fewer nodes than its budget.
+q**N columns (or edges) in lexicographic order, each column's vertex mask
+and each vertex's incidence mask, the candidates through it.  Anything more
+per candidate is built by the search that reads it.  exact_capacity runs one
+loop over an explicit stack of frames, whose chosen sets are prefixes of one
+shared path and whose holed-tuple lists hang on one persistent chain (memory
+linear in the depth and in the tuples); rainbow_free_extremal_search runs
+one recursive dfs closure on the chosen and live edge bitmasks.  Neither
+keeps more: sizes are popcounts, and a search is complete iff it counted
+fewer nodes than its budget.
 
 exact_capacity enumerates column sets in canonical form: per-row symbol
 relabeling maps some column of any family to the all-zero column, which is
@@ -44,16 +45,17 @@ a symbol with a part it does not join, and the lookup.
 rainbow_free_extremal_search adds candidate edges in lexicographic order.
 Each node carries its live candidates as one bitmask, as exact_capacity's
 stack frames do.  When an edge joins, two masks leave the child's: the
-candidates sharing two vertices with it (ANDs of its per-part agreement
-masks) and _doomed's, those closing a rainbow cycle through it.  The first,
-like the edge's near mask (the candidates sharing a vertex with it),
-depends on the edge alone, so each is built when the edge first joins and
-kept for the call.  _doomed's mask is built once per descent by joining
-pairs of "arms", rainbow paths from the new edge over chosen edges, so no
-candidate is walked on its own.  An arm grows over the chosen edges in its
-end's near mask, not over the parts: the chosen edges and the new one are
-pairwise linear, so two of them share at most one vertex, one bit of
-their vertex masks, whose part is read off the bit's index.
+candidates sharing two vertices with it (its conflict mask, ANDs of the
+incidence masks of its vertices) and _doomed's, those closing a rainbow
+cycle through it.  The edge's record, those incidence masks, its near mask
+(the candidates sharing a vertex with it) and its conflict mask, depends on
+the edge alone, so it is built when the edge first joins and kept for the
+call.  _doomed's mask is built once per descent by joining pairs of "arms",
+rainbow paths from the new edge over chosen edges, so no candidate is walked
+on its own.  An arm grows over the chosen edges in its end's near mask, not
+over the parts: the chosen edges and the new one are pairwise linear, so two
+of them share at most one vertex, one bit of their vertex masks, whose part
+is read off the bit's index.
 """
 
 from __future__ import annotations
@@ -255,13 +257,13 @@ def _holed_tuples(layouts, masks, prior, q, body, top):
     the vertices of the parts the joiner does not join, those of the parts
     after the hole, and whether the joiner joins the hole.  None of them
     depends on the joiner.  body and top are exact_capacity's row-field
-    masks.  An empty prior gives the tuples with no member from prior.
+    masks, and prior is never empty.
 
     The newest column, prior[-1], is the largest of every pool that holds
     it.  So the last slot with members to take takes newest, as its
     largest member, when no earlier slot took it.
     """
-    newest = prior[-1] if prior else None
+    newest = prior[-1]
     tuples = []
     for slots in layouts:
         # Each frame fills slot k: its untried combinations, bad, seen (the
@@ -375,7 +377,7 @@ def exact_capacity(
     u = w.u
     # masks[j]: bit r*q + s set iff column j shows symbol s in row r.
     # incidence[r*q + s]: the columns that show symbol s in row r.
-    columns, masks, _, incidence = _cube(n_rows, q)
+    columns, masks, incidence = _cube(n_rows, q)
     layouts = _holed_layouts(w.weights)
     everything = (1 << len(columns)) - 1
     # Each row's q-bit field of a vertex mask: low holds its lowest bit, top
@@ -427,13 +429,13 @@ def exact_capacity(
     # fresh frame extends at its first expansion by those through its
     # newest column (an empty list is not linked).  Those need u-2 chosen
     # columns, so none come before depth u-2, where each uses every chosen
-    # column.  Only {1,1} (u = 2) has a tuple with no chosen member: the
-    # root's chain holds it.  Canonical: the all-zero column is index 0.
-    # No root filter: a lone column and a candidate are unseparated only
-    # if u = 2 and equal.
+    # column.  {1,1} (u = 2) has no chain: its one holed tuple has no
+    # chosen member, and its key, the joiner's own vertex mask, forbids
+    # only the joiner, never among its candidates.  Canonical: the all-zero
+    # column is index 0.  No root filter: a lone column and a candidate are
+    # unseparated only if u = 2 and equal.
     path = [0]
-    empty = _holed_tuples(layouts, masks, [], q, body, top)
-    stack = [(1, everything ^ 1, (empty, None) if empty else None, True)]
+    stack = [(1, everything ^ 1, None, True)]
     while stack:
         depth, cand, links, fresh = stack.pop()
         del path[depth:]
@@ -566,15 +568,15 @@ def _arm_splits(ks):
     return sorted(splits, key=lambda split: split[1])
 
 
-def _doomed(i, chosen, splits, q, masks, near, edges_at, free_pairs):
+def _doomed(i, chosen, splits, q, masks, joined, free_pairs):
     """Candidates that close a rainbow k-cycle, k in ks, through edge i.
 
     chosen is a bitmask of candidate indices (i not among them), splits
-    _arm_splits(ks) and q the part size.  masks and edges_at come from
-    hypergraph._cube: masks[e] is edge e's vertex mask and edges_at[e][p]
-    holds the candidates through its vertex in part p.  near[e] holds the
-    candidates that share a vertex with e, for i and every chosen e, and
-    free_pairs comes from _free_part_pairs.  Exact for every candidate c
+    _arm_splits(ks) and q the part size.  masks[e] is edge e's vertex mask
+    (from hypergraph._cube), and joined[e] = (at, near, conflict) its record
+    for i and every chosen e: at[p] holds the candidates through its vertex
+    in part p and near those sharing a vertex with it.  free_pairs comes
+    from _free_part_pairs.  Exact for every candidate c
     linear with the chosen edges and i, the only ones the search asks
     about.  Linearity leaves consecutive cycle edges exactly one shared
     vertex, so a rainbow k-cycle through c and i, with c left out, is a
@@ -585,13 +587,13 @@ def _doomed(i, chosen, splits, q, masks, near, edges_at, free_pairs):
 
     An arm grows by a chosen edge off its path that meets its end in a part
     the arm has not used.  So it walks the chosen edges off its path that
-    meet its end, near[end] & chosen & ~path, not the parts.  The chosen
-    edges and i are pairwise linear, so such an edge e shares exactly one
-    vertex with the end: masks[end] & masks[e] has one bit, and that
-    vertex's part is the bit's index // q.  Every arm has a shorter arm as
-    its prefix, so once some length has no arm no longer one exists: the
-    growth stops there, and only the splits whose longer arm exists are
-    paired.
+    meet its end (near & chosen & ~path, near from end's record), not the
+    parts.  The chosen edges and i are pairwise linear, so such an edge e
+    shares exactly one vertex with the end: masks[end] & masks[e] has one
+    bit, and that vertex's part is the bit's index // q.  Every arm has a
+    shorter arm as its prefix, so once some length has no arm no longer one
+    exists: the growth stops there, and only the splits whose longer arm
+    exists are paired.
     """
     # arms[length]: (end, used parts, edges beyond i) of each arm.
     arms = [[(i, 0, 0)]]
@@ -599,7 +601,7 @@ def _doomed(i, chosen, splits, q, masks, near, edges_at, free_pairs):
         grown = []
         for end, used, path in arms[-1]:
             vertices = masks[end]
-            nxt = near[end] & chosen & ~path
+            nxt = joined[end][1] & chosen & ~path
             while nxt:
                 low = nxt & -nxt
                 nxt ^= low
@@ -619,7 +621,7 @@ def _doomed(i, chosen, splits, q, masks, near, edges_at, free_pairs):
             for end2, used2, path2 in arms[rest][x + 1 :] if short == rest else arms[rest]:
                 if used1 & used2 or path1 & path2:
                     continue
-                at1, at2 = edges_at[end1], edges_at[end2]
+                at1, at2 = joined[end1][0], joined[end2][0]
                 for a, b in free_pairs[used1 | used2]:
                     doomed |= at1[a] & at2[b] | at1[b] & at2[a]
     return doomed
@@ -638,12 +640,12 @@ def rainbow_free_extremal_search(
     close no cycle through i (not in _doomed's mask).  Inheriting `alive`
     is exact: a candidate that is not linear with, or closes a cycle with,
     some chosen edges still does once i joins them, and a cycle that i
-    makes possible passes through i.  Both masks of a candidate, the one
-    of the candidates it conflicts with (the OR over part pairs a < b of
-    its agreement masks' ANDs) and near, those sharing a vertex with it,
-    depend on the candidate alone, not on the node: each is built when the
-    candidate first joins and kept for the call, never for a candidate
-    that never joins.  The diagonal matching seeds the
+    makes possible passes through i.  A candidate's record depends on it
+    alone, not on the node: at[p], the incidence mask of its vertex in
+    part p; near, the OR of at, those sharing a vertex with it; and its
+    conflict mask, the OR over part pairs a < b of at[a] & at[b].  It is
+    built when the candidate first joins and kept for the call, never for
+    a candidate that never joins.  The diagonal matching seeds the
     search, so the result always has at least part_size edges.  node_budget
     must be an integer of at least 1; budget overruns return the best found,
     flagged uncertified: only a trip brings the count to the budget, so
@@ -675,33 +677,23 @@ def rainbow_free_extremal_search(
     if _integer(node_budget, "node_budget") < 1:
         raise ValueError("need node_budget >= 1")
     q = part_size
-    candidates, masks, edges_at, _ = _cube(parts, q)
+    candidates, masks, incidence = _cube(parts, q)
     n = len(candidates)
     free_pairs = _free_part_pairs(parts)
     splits = _arm_splits(ks)
-    # near[idx], conflicts[idx]: the candidates sharing a vertex, and two
-    # vertices, with idx; built when idx first joins, kept for the call.
-    near, conflicts = {}, {}
+    # joined[idx]: (at, near, conflict) of candidate idx, built when it first
+    # joins and kept for the call: at[p] the candidates through its vertex
+    # in part p, near those sharing a vertex with it, conflict two.
+    joined = {}
     # Seed: pairwise disjoint diagonal edges share no vertex, hence no cycle.
     best = [tuple(s for _ in range(parts)) for s in range(q)]
     nodes = 0
-
-    def count(k):
-        # Count k more candidates as nodes; True iff the budget trips on one.
-        nonlocal nodes
-        if nodes + k < node_budget:
-            nodes += k
-            return False
-        # The trip lands on the candidate that reaches the budget, or on
-        # the first one counted when a deeper trip already passed it.
-        nodes = max(nodes + 1, node_budget)
-        return True
 
     def dfs(chosen, alive):
         # chosen: bitmask of the chosen candidates, its popcount the size
         # and its bit length the first candidate after the highest of them;
         # alive: the candidates from there on that may join.
-        nonlocal best
+        nonlocal best, nodes
         size = chosen.bit_count()
         if size > len(best):
             best = [candidates[c] for c in _bits(chosen)]
@@ -710,22 +702,28 @@ def rainbow_free_extremal_search(
             # The size bound stops the loop at the first idx >= limit.
             limit = n + size - len(best)
             idx = (alive & -alive).bit_length() - 1 if alive else n
+            # Count the candidates from start through idx (to limit when the
+            # bound stops the loop) as nodes.  A trip lands on the one that
+            # reaches the budget, or on the first one counted when a deeper
+            # trip already passed it.
+            stop = idx + 1 if idx < limit else limit
+            if stop > start:
+                if nodes + stop - start >= node_budget:
+                    nodes = max(nodes + 1, node_budget)
+                    return
+                nodes += stop - start
             if idx >= limit:
-                if limit > start:
-                    count(limit - start)
-                return
-            if count(idx + 1 - start):
                 return
             alive ^= 1 << idx
             start = idx + 1
-            conflict = conflicts.get(idx)
-            if conflict is None:
-                at = edges_at[idx]
-                near[idx] = reduce(or_, at)
-                conflict = conflicts[idx] = reduce(or_, [at[a] & at[b] for a, b in free_pairs[0]], 0)
-            child = alive & ~conflict
+            record = joined.get(idx)
+            if record is None:
+                at = tuple(incidence[p * q + s] for p, s in enumerate(candidates[idx]))
+                conflict = reduce(or_, [at[a] & at[b] for a, b in free_pairs[0]], 0)
+                record = joined[idx] = (at, reduce(or_, at), conflict)
+            child = alive & ~record[2]
             if child:
-                child &= ~_doomed(idx, chosen, splits, q, masks, near, edges_at, free_pairs)
+                child &= ~_doomed(idx, chosen, splits, q, masks, joined, free_pairs)
             dfs(chosen | 1 << idx, child)
 
     dfs(0, (1 << n) - 1)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import or_
 
-from .matrix import Matrix, normalize_weights
+from .matrix import Matrix, _integer, normalize_weights
 
 
 class PreconditionError(ValueError):
@@ -63,6 +63,7 @@ def row_separates(m: Matrix, row: int, parts) -> bool:
     This is the definitional check; certificate re-validation goes through
     it rather than through the pruned enumeration path.
     """
+    row = _integer(row, "row")
     if not 0 <= row < m.rows:
         raise IndexError(f"row {row} out of range")
     norm = []

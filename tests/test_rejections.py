@@ -32,7 +32,7 @@ from sephash.coverfree import (
     is_cff,
     shf_to_cff_double,
 )
-from sephash.hypergraph import PartiteHypergraph
+from sephash.hypergraph import PartiteHypergraph, find_rainbow_cycle
 from sephash.matrix import Matrix, SeparationType, group_rows
 from sephash.search import (
     cyclic_overlap_matrix,
@@ -42,13 +42,15 @@ from sephash.search import (
     random_shf_alteration,
     reed_solomon_frameproof,
 )
-from sephash.verification import PreconditionError, find_violation
+from sephash.verification import PreconditionError, find_violation, row_separates
 
 BINARY = Matrix(((1, 0), (0, 1)), 2)
 # Both members are 1 on every row, so each covers the other.
 COVERED = Matrix(((1, 1),), 2)
 # Two members are vacuously 2-cover-free, and member 0 is 1 on every row.
 FULL_MEMBER = Matrix(((1, 0), (1, 0)), 2)
+# Three edges that pairwise share one vertex in distinct parts: a rainbow 3-cycle.
+TRIANGLE = PartiteHypergraph(3, 2, ((0, 0, 0), (0, 1, 1), (1, 1, 0)))
 
 REJECTIONS = [
     # bounds.py
@@ -68,6 +70,8 @@ REJECTIONS = [
     ("separation_rate point length", lambda: separation_rate([1, 2], [1.0]), ValueError, "point length"),
     ("equal_weight_max_rate t<2", lambda: equal_weight_max_rate(1, 2), ValueError, "need t >= 2"),
     ("equal_weight_max_rate w<2", lambda: equal_weight_max_rate(2, 1), ValueError, "need w >= 2"),
+    ("equal_weight_max_rate lossy t", lambda: equal_weight_max_rate(2.5, 2), ValueError, "t 2.5 is not an integer"),
+    ("equal_weight_max_rate lossy w", lambda: equal_weight_max_rate(2, 2.5), ValueError, "w 2.5 is not an integer"),
     ("small_alphabet_bound t<2", lambda: small_alphabet_bound(3, 1, [2]), ValueError, "need t >= 2"),
     ("applicable_upper_bounds t<2", lambda: applicable_upper_bounds(3, 2, [2]), ValueError, "at least two parts"),
     ("all_distinct_probability lossy q", lambda: all_distinct_probability(2.5, 1), ValueError, "q 2.5 is not an integer"),
@@ -111,9 +115,11 @@ REJECTIONS = [
     # hypergraph.py
     ("PartiteHypergraph no parts", lambda: PartiteHypergraph(0, 2, ()), ValueError, "at least one part"),
     ("PartiteHypergraph float symbol", lambda: PartiteHypergraph(2, 2, ((1.0, 0),)), ValueError, "not an int"),
+    ("find_rainbow_cycle lossy k", lambda: find_rainbow_cycle(TRIANGLE, 3.5), ValueError, "cycle length 3.5 is not an integer"),
     # matrix.py
     ("Matrix q<1", lambda: Matrix(((0,),), 0), ValueError, "alphabet size must be >= 1"),
     ("Matrix.submatrix index", lambda: BINARY.submatrix([2]), IndexError, "column index 2 out of range"),
+    ("Matrix.submatrix lossy index", lambda: BINARY.submatrix([0.5]), ValueError, "column index 0.5 is not an integer"),
     ("SeparationType empty", lambda: SeparationType(()), ValueError, "at least one weight"),
     ("SeparationType unsorted", lambda: SeparationType((2, 1)), ValueError, "sorted ascending"),
     ("SeparationType float weight", lambda: SeparationType((1.5, 2.5)), ValueError, "weight 1.5 is not an int"),
@@ -161,6 +167,7 @@ REJECTIONS = [
     ("rainbow_free_extremal_search nan length", lambda: rainbow_free_extremal_search(3, 2, [float("nan")]), ValueError, "cycle length nan is not an integer"),
     # verification.py
     ("find_violation lossy weights", lambda: find_violation(BINARY, [1.7, 2]), ValueError, "weight 1.7 is not an integer"),
+    ("row_separates lossy row", lambda: row_separates(BINARY, 0.5, [[0], [1]]), ValueError, "row 0.5 is not an integer"),
 ]
 
 
@@ -177,6 +184,10 @@ def test_rejects_bad_input(call, error, fragment):
 # An integral float passes the gate as the int it equals.
 INTEGRAL = [
     ("trung_bound q", lambda: trung_bound(2.0, [1, 2]).params["q"], lambda: 2),
+    ("equal_weight_max_rate t, w", lambda: equal_weight_max_rate(2.0, 3.0), lambda: equal_weight_max_rate(2, 3)),
+    ("find_rainbow_cycle k", lambda: find_rainbow_cycle(TRIANGLE, 3.0), lambda: find_rainbow_cycle(TRIANGLE, 3)),
+    ("row_separates row", lambda: row_separates(BINARY, 0.0, [[0], [1]]), lambda: row_separates(BINARY, 0, [[0], [1]])),
+    ("Matrix.submatrix index", lambda: BINARY.submatrix([1.0]), lambda: BINARY.submatrix([1])),
     ("johnson_step length", lambda: johnson_step(5, 3, (2, 2), 2.0, 1).value, lambda: johnson_step(5, 3, (2, 2), 2, 1).value),
     ("identity_construction N", lambda: identity_construction(3.0, 1), lambda: identity_construction(3, 1)),
     ("reed_solomon_frameproof q", lambda: reed_solomon_frameproof(5.0, 3, 2), lambda: reed_solomon_frameproof(5, 3, 2)),

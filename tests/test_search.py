@@ -613,12 +613,29 @@ def _linear_with(e, edges):
 
 def _doomed_over_cube(i, others, parts, q, ks):
     """The candidates of range(q)**parts and _doomed's mask for edge i and
-    the chosen edges others, with every candidate's near mask built."""
-    candidates, masks, edges_at, _ = _cube(parts, q)
+    the chosen edges others, with the records of i and others built."""
+    candidates, masks, incidence = _cube(parts, q)
+    joined = {}
+    for e in (i, *others):
+        at = tuple(incidence[p * q + s] for p, s in enumerate(e))
+        conflict = reduce(or_, [at[a] & at[b] for a, b in combinations(range(parts), 2)], 0)
+        joined[candidates.index(e)] = (at, reduce(or_, at), conflict)
     chosen = sum(1 << candidates.index(e) for e in others)
-    near = [reduce(or_, at) for at in edges_at]
     splits, pairs = _arm_splits(ks), _free_part_pairs(parts)
-    return candidates, _doomed(candidates.index(i), chosen, splits, q, masks, near, edges_at, pairs)
+    return candidates, _doomed(candidates.index(i), chosen, splits, q, masks, joined, pairs)
+
+
+@pytest.mark.parametrize("parts, q", [(1, 1), (1, 3), (2, 1), (2, 2), (3, 2), (2, 3), (4, 1), (3, 3)])
+def test_cube_holds_points_masks_and_incidence(parts, q):
+    points, masks, incidence = _cube(parts, q)
+    assert points == list(product(range(q), repeat=parts))
+    assert len(masks) == len(points) and len(incidence) == parts * q
+    for j, point in enumerate(points):
+        for v in range(parts * q):
+            held = point[v // q] == v % q
+            assert (masks[j] >> v & 1) == held
+            assert (incidence[v] >> j & 1) == held
+    assert all(incidence[v] < 1 << len(points) for v in range(parts * q))
 
 
 @pytest.mark.parametrize(
@@ -677,8 +694,9 @@ def test_doomed_is_empty_when_no_chosen_edge_meets_i():
 
 def test_rainbow_free_candidate_masks_are_built_lazily():
     # 15,625 candidate edges, each mask a 15,625-bit int.  Under CPython
-    # 3.11 the search peaked at 3.6 MiB with masks built as edges join; a
-    # conflict mask per candidate built up front took about 32 MB.
+    # 3.11 the search peaks at 2.2 MiB with each record built as its edge
+    # joins.  A per-point tuple of agreement masks built up front took the
+    # peak to 3.6 MiB, and a conflict mask per candidate to about 32 MB.
     tracemalloc.start()
     try:
         r = rainbow_free_extremal_search(6, 5, (3, 4, 5, 6), node_budget=50_000)
@@ -686,7 +704,7 @@ def test_rainbow_free_candidate_masks_are_built_lazily():
     finally:
         tracemalloc.stop()
     assert not r.certified
-    assert peak < 8 * 2**20
+    assert peak < 3 * 2**20
 
 
 @settings(max_examples=100, deadline=None)
@@ -742,6 +760,30 @@ def test_capacity_sweep_is_byte_identical():
     assert digest.hexdigest() == "2a44197f989478120cc9682c6d7401cffb6bb7296fba611cfc4f5896df4baf9f"
 
 
+@pytest.mark.slow
+def test_rainbow_free_sweep_is_byte_identical():
+    """Every rainbow-free result of a 312-run sweep, as recorded before each
+    candidate's record was built only when it joins.
+
+    Parts 3 to 6, part sizes 2 to 5, every nonempty set of cycle lengths
+    in [3, parts] and budgets of 37, 3,000 and 40,000 nodes: one JSON line
+    per run (keys sorted), hashed in order.  A change that alters node
+    counts on purpose, such as ROADMAP item 3 (pinning edge 0, a popcount
+    bound, pair packing) or item 7 (an exact node budget), re-records this
+    digest and says so.
+    """
+    digest = hashlib.sha256()
+    for parts in range(3, 7):
+        lengths = range(3, parts + 1)
+        ksets = [ks for size in range(1, parts - 1) for ks in combinations(lengths, size)]
+        for q in range(2, 6):
+            for ks in ksets:
+                for budget in (37, 3_000, 40_000):
+                    d = rainbow_free_extremal_search(parts, q, ks, node_budget=budget).as_json_dict()
+                    digest.update((json.dumps(d, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == "fcdd871ac35dda6a87258acfc2a61f43abc633415ad2712ae9fd0de80ef4adc5"
+
+
 def _brute_holed_tuples(weights, masks, prior, n_rows, q):
     """Counter of (bad, other, out, into_hole) over the holed tuples from prior.
 
@@ -784,13 +826,15 @@ def _brute_holed_tuples(weights, masks, prior, n_rows, q):
 
 @pytest.mark.parametrize(
     "weights",
-    [(1, 1), (1, 3), (2, 2), (1, 2, 2), (2, 2, 2), (2, 2, 3), (1, 1, 2, 2)],
+    [(1, 3), (2, 2), (1, 2, 2), (2, 2, 2), (2, 2, 3), (1, 1, 2, 2)],
     ids=lambda w: ",".join(map(str, w)),
 )
 def test_holed_tuples_match_brute_force(weights):
-    # Chained over the prefixes of prior, as exact_capacity's frames link
-    # them, the walks give every holed tuple from prior once, equal-size
-    # parts of size 2 and more included.
+    # Chained over the nonempty prefixes of prior, as exact_capacity's
+    # frames link them, the walks give every holed tuple from prior once,
+    # equal-size parts of size 2 and more included.  {1,1} has no holed
+    # tuple with a member from prior: test_two_singletons_fill_the_cube
+    # covers it.
     rng = random.Random(",".join(map(str, weights)))
     layouts = _holed_layouts(weights)
     for _ in range(25):
@@ -800,16 +844,19 @@ def test_holed_tuples_match_brute_force(weights):
         low = sum(1 << (r * q) for r in range(n_rows))
         top = low << (q - 1)
         chained = Counter()
-        for end in range(len(prior) + 1):
+        for end in range(1, len(prior) + 1):
             chained.update(_holed_tuples(layouts, masks, prior[:end], q, top - low, top))
         assert chained == _brute_holed_tuples(weights, masks, prior, n_rows, q)
 
 
 class TestCapacityLaws:
     def test_two_singletons_fill_the_cube(self):
-        # C(N, q, {1,1}) = q**N whenever distinct columns exist.
+        # C(N, q, {1,1}) = q**N whenever distinct columns exist.  No holed
+        # tuple filters a candidate: the search counts each column but the
+        # all-zero root once and runs to completion.
         for n_rows, q in ((1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (1, 5), (2, 9)):
-            assert exact_capacity(n_rows, q, [1, 1]).value == q**n_rows
+            r = exact_capacity(n_rows, q, [1, 1])
+            assert (r.value, r.nodes, r.exact) == (q**n_rows, q**n_rows - 1, True)
 
 
 class TestCertification:
