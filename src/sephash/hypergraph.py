@@ -142,13 +142,23 @@ def _cube(parts: int, q: int):
 
     The exact searches take these points as candidate columns or edges.
     Returns (points, masks, incidence): masks[j] is point j's vertex mask
-    (_vertex_masks) and incidence[v] the points through vertex v
-    (_incidence).  The points sharing point j's symbol in part p are
-    incidence[p*q + points[j][p]]; a search builds those where it reads them.
+    (_vertex_masks) and incidence[v] the points through vertex v, as
+    _incidence would find them.  The points sharing point j's symbol in
+    part p are incidence[p*q + points[j][p]]; a search builds those where it
+    reads them.  In lexicographic order vertex (p, s) holds a run of
+    q**(parts-1-p) points at offset s times that run, repeated with period
+    q**(parts-p), so each incidence mask is one run times one comb, shifted.
     """
     points = list(product(range(q), repeat=parts))
-    masks = _vertex_masks(points, q)
-    return points, masks, _incidence(masks, parts * q)
+    incidence = []
+    for p in range(parts):
+        run = q ** (parts - 1 - p)
+        period = run * q
+        # comb: bit i*period for each of the q**p periods.
+        comb = ((1 << len(points)) - 1) // ((1 << period) - 1)
+        base = ((1 << run) - 1) * comb
+        incidence += [base << (s * run) for s in range(q)]
+    return points, _vertex_masks(points, q), incidence
 
 
 def _bits(mask: int):

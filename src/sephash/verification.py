@@ -9,7 +9,10 @@ a part tuple.  Otherwise one pass over the part tuples, carrying the OR of
 the rows left unseparated, decides it and returns a reproducible
 certificate when the property fails.  The pass and the cover search it
 shares with is_cff are loops, so no part is too wide for the interpreter's
-recursion limit.  _Agreement computes column agreement.
+recursion limit.  _Agreement computes column agreement: its scan for the
+first pair agreeing in more than L rows counts, for each column x past 0,
+every column's agreement with x at once on per-(row, symbol) column masks,
+at most min(L+1, N-L) big-integer operations per row.
 
 Everything here is pure and operates on immutable matrices; calls are safe
 to run concurrently.
@@ -71,13 +74,18 @@ def row_separates(m: Matrix, row: int, parts) -> bool:
     for part in parts:
         cur = tuple(part)
         for c in cur:
+            if type(c) is not int:
+                # A float or other number stands for the int it equals.
+                cur = tuple(_integer(v, "column") for v in cur)
+                c = int(c)
             if not 0 <= c < m.cols:
                 raise IndexError(f"column {c} out of range")
             if c in seen:
                 raise ValueError(f"parts overlap at column {c}")
             seen.add(c)
         norm.append(cur)
-    symbol_sets = [{m.entries[row][c] for c in part} for part in norm]
+    symbols = m.entries[row]
+    symbol_sets = [{symbols[c] for c in part} for part in norm]
     return all(
         a.isdisjoint(b) for a, b in combinations(symbol_sets, 2)
     )
@@ -105,7 +113,24 @@ class _Agreement:
     """Pairwise column agreement from per-row symbol classes, built once.
 
     classes[r] maps each symbol of row r to its ascending columns; bit r of
-    row(x)[z], built on first use, is set iff columns x and z agree in row r.
+    row(x)[z], built on first use and kept, is set iff columns x and z agree
+    in row r.  Building a row costs a Python step per column of x's class
+    in every row, about N*n/q.
+
+    first_pair_over checks column 0 on row(0): the search's first part
+    always holds column 0, so it needs that row anyway, and a failing input
+    usually has its first pair there.  For each later column x it counts
+    every column's agreement with x at once.  The column mask of (r, s)
+    has bit z set iff entries[r][z] == s, except for the class's first
+    column, which is never above an x of the class (so a class of one
+    column costs nothing).  A threshold ladder at[j] holds the columns
+    agreeing with x in more than j of the rows seen so far: with m the
+    mask of x's symbol in row r, at[j] |= at[j-1] & m for j from min(r, L)
+    down to 1, then at[0] |= m.  Levels below L minus the rows left after
+    r can no longer pass L and are skipped, so a row costs at most
+    min(L+1, N-L) operations on n-bit integers.  The masks, up to N*q of n
+    bits, are built when the scan first passes column 0 and kept for the
+    call.
     """
 
     def __init__(self, m: Matrix):
@@ -125,16 +150,45 @@ class _Agreement:
         return self.memo[x]
 
     def first_pair_over(self, limit: int) -> tuple[int, int, int] | None:
-        """First (x, z, agreements > limit), x < z lexicographic; drops rows that pass."""
-        row, memo = self.row, self.memo
-        for x in range(len(memo) - 1):
-            got = row(x)
-            if any(map(limit.__lt__, map(int.bit_count, got[x + 1 :]))):
-                z = x + 1
-                while got[z].bit_count() <= limit:
-                    z += 1
-                return x, z, got[z].bit_count()
-            memo[x] = None
+        """First (x, z, agreements > limit), x < z lexicographic, or None.
+
+        Column 0 is checked on row(0), columns 1 and up on the column-mask
+        ladder (class docstring).
+        """
+        n, entries = len(self.memo), self.entries
+        if n < 2:
+            return None
+        got = self.row(0)
+        if any(map(limit.__lt__, map(int.bit_count, got[1:]))):
+            z = 1
+            while got[z].bit_count() <= limit:
+                z += 1
+            return 0, z, got[z].bit_count()
+        n_rows = len(entries)
+        if limit >= n_rows:
+            return None
+        # Per row: its symbols, its column masks, the ladder levels j >= 1
+        # it raises (descending) and whether it starts level 0.  Level j
+        # is kept only while it can still reach limit + 1 (j >= limit -
+        # rows left after this one).
+        plan = []
+        for r, (symbols, by_symbol) in enumerate(zip(entries, self.classes)):
+            lo = limit - (n_rows - 1 - r)
+            masks = {s: sum(map((1).__lshift__, cls[1:])) for s, cls in by_symbol.items()}
+            plan.append((symbols, masks, range(min(r, limit), max(lo, 1) - 1, -1), lo <= 0))
+        for x in range(1, n - 1):
+            # at[j]: the columns agreeing with x in more than j rows so far.
+            at = [0] * (limit + 1)
+            for symbols, masks, levels, start in plan:
+                m = masks[symbols[x]]
+                for j in levels:
+                    at[j] |= at[j - 1] & m
+                if start:
+                    at[0] |= m
+            over = at[limit] >> (x + 1)
+            if over:
+                z = x + (over & -over).bit_length()
+                return x, z, sum(symbols[x] == symbols[z] for symbols in entries)
         return None
 
 

@@ -168,6 +168,8 @@ REJECTIONS = [
     # verification.py
     ("find_violation lossy weights", lambda: find_violation(BINARY, [1.7, 2]), ValueError, "weight 1.7 is not an integer"),
     ("row_separates lossy row", lambda: row_separates(BINARY, 0.5, [[0], [1]]), ValueError, "row 0.5 is not an integer"),
+    ("row_separates lossy column", lambda: row_separates(BINARY, 0, [[0], [1.5]]), ValueError, "column 1.5 is not an integer"),
+    ("row_separates integral column out of range", lambda: row_separates(BINARY, 0, [[0], [5.0]]), IndexError, "column 5 out of range"),
 ]
 
 
@@ -187,6 +189,7 @@ INTEGRAL = [
     ("equal_weight_max_rate t, w", lambda: equal_weight_max_rate(2.0, 3.0), lambda: equal_weight_max_rate(2, 3)),
     ("find_rainbow_cycle k", lambda: find_rainbow_cycle(TRIANGLE, 3.0), lambda: find_rainbow_cycle(TRIANGLE, 3)),
     ("row_separates row", lambda: row_separates(BINARY, 0.0, [[0], [1]]), lambda: row_separates(BINARY, 0, [[0], [1]])),
+    ("row_separates column", lambda: row_separates(BINARY, 0, [[0], [1.0]]), lambda: row_separates(BINARY, 0, [[0], [1]])),
     ("Matrix.submatrix index", lambda: BINARY.submatrix([1.0]), lambda: BINARY.submatrix([1])),
     ("johnson_step length", lambda: johnson_step(5, 3, (2, 2), 2.0, 1).value, lambda: johnson_step(5, 3, (2, 2), 2, 1).value),
     ("identity_construction N", lambda: identity_construction(3.0, 1), lambda: identity_construction(3, 1)),

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sephash
-from sephash.hypergraph import _cube, find_rainbow_cycle, is_linear_hypergraph, matrix_to_hypergraph
+from sephash.hypergraph import _cube, _incidence, find_rainbow_cycle, is_linear_hypergraph, matrix_to_hypergraph
 from sephash.matrix import Matrix, write_matrix
 from sephash.search import (
     CapacityResult,
@@ -636,6 +636,16 @@ def test_cube_holds_points_masks_and_incidence(parts, q):
             assert (masks[j] >> v & 1) == held
             assert (incidence[v] >> j & 1) == held
     assert all(incidence[v] < 1 << len(points) for v in range(parts * q))
+
+
+def test_cube_incidence_closed_form_matches_bit_walk():
+    # The cube's periodic incidence masks against the per-vertex bit walk
+    # that find_rainbow_cycle keeps for arbitrary edges.
+    for parts in range(1, 7):
+        for q in range(1, 6):
+            if q**parts <= 15_625:
+                points, masks, incidence = _cube(parts, q)
+                assert incidence == _incidence(masks, parts * q), (parts, q)
 
 
 @pytest.mark.parametrize(

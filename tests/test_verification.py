@@ -1,17 +1,22 @@
 """Tests for the separation oracle and the greedy extraction algorithms."""
 
+import hashlib
+import json
 import random
 import tracemalloc
+from itertools import combinations
+from operator import eq
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sephash import verification
 from sephash.hypergraph import PartiteHypergraph, is_linear_hypergraph, matrix_to_hypergraph
-from sephash.matrix import Matrix
+from sephash.matrix import Matrix, write_matrix
 from sephash.search import (
     _has_private_rows,
     cyclic_overlap_matrix,
+    exact_capacity,
     identity_construction,
     reed_solomon_frameproof,
 )
@@ -252,9 +257,10 @@ def test_find_violation_matches_reference_witness_large_alphabet(m, weights):
 
 
 def test_distance_scan_keeps_one_agreement_row():
-    # 2,048 distinct one-row columns: no two agree, so the scan passes every
-    # agreement row and certifies.  Each row holds 2,048 ints; keeping them
-    # all costs about 32 MiB, one at a time well under 1 MiB.
+    # 2,048 distinct one-row columns: no two agree, so the scan certifies.
+    # It keeps column 0's agreement row (2,048 ints, well under 1 MiB) and
+    # a column mask per symbol, each empty here (a class of one column);
+    # an agreement row per column would cost about 32 MiB.
     m = Matrix((tuple(range(2048)),), 2048)
     tracemalloc.start()
     try:
@@ -472,6 +478,52 @@ def test_agreement_kernel_matches_pairwise_reference():
     assert nonlinear > 500 and 200 < private < 1500 and raised > 50
 
 
+def test_agreement_ladder_matches_pairwise_reference_on_wide_matrices():
+    # first_pair_over at every limit on matrices wider than one machine
+    # word (n 65-200, N 7-16): random rows mixed with all-distinct rows
+    # (permutations of the n columns, as at q = n), some with a planted
+    # duplicate column so that the first pair lies at column 0, in the
+    # middle or at (n-2, n-1).  The reference is the pair loop, run once
+    # per matrix.
+    rng = random.Random(30)
+    at_zero = at_end = 0
+    for _ in range(40):
+        n_rows, n = rng.randint(7, 16), rng.randint(65, 200)
+        q = rng.choice([n, rng.randint(2, 12)])
+        rows = []
+        for _ in range(n_rows):
+            if q == n and rng.random() < 0.5:
+                rows.append(rng.sample(range(n), n))
+            else:
+                rows.append([rng.randrange(q) for _ in range(n)])
+        cols = [list(c) for c in zip(*rows)]
+        plant = rng.choice([None, (0, rng.randrange(1, n)), (n - 2, n - 1), tuple(sorted(rng.sample(range(n), 2)))])
+        if plant is not None:
+            cols[plant[1]] = cols[plant[0]]
+        m = Matrix(tuple(zip(*cols)), q)
+        agree = [(i, j, sum(map(eq, a, b))) for (i, a), (j, b) in combinations(enumerate(m.columns()), 2)]
+        for limit in range(n_rows + 1):
+            want = next((p for p in agree if p[2] > limit), None)
+            assert verification._Agreement(m).first_pair_over(limit) == want, (n_rows, n, q, plant, limit)
+            at_zero += want is not None and want[0] == 0
+            at_end += want is not None and want[:2] == (n - 2, n - 1)
+    assert at_zero > 20 and at_end > 5
+
+
+def test_wide_certificates_run_on_column_masks():
+    # Pairs past column 0 on one-row families of thousands of columns: the
+    # capacity witness's final certificate and a planted duplicate.
+    r = exact_capacity(1, 5000, (1, 1))
+    assert (r.value, r.exact) == (5000, True)
+    row = list(range(4000))
+    row[3999] = row[2]
+    m = Matrix((tuple(row),), 4000)
+    pair = reference_first_pair_over(m.columns(), 0)
+    assert pair == (2, 3999, 1)
+    assert verification._Agreement(m).first_pair_over(0) == pair
+    assert find_violation(m, (1, 1)) == ViolationWitness(((2,), (3999,)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_find_violation_matches_naive_property(data):
@@ -500,3 +552,62 @@ def test_grouping_rows_preserves_separation():
             grouped = group_rows(m, 2)
             assert find_violation(grouped, [1, 2]) is None
             checked += 1
+
+
+def _oracle_sweep_corpus():
+    """Seeded matrices with N 1-12, n 0-150 and q 1-12 for the byte sweep.
+
+    Random matrices (some with a planted duplicate column, so a pair also
+    starts late or at (n-2, n-1)), 4-row ones for the linear extractor,
+    and column-permuted Reed-Solomon, identity and cyclic-overlap codes,
+    which pass the distance certificate or fail it only at its threshold.
+    """
+    rng = random.Random(30)
+    cases = [Matrix(((),), 1), Matrix(((0,),) * 12, 1), Matrix(((0, 0),), 1), Matrix(((),) * 4, 3)]
+    for _ in range(300):
+        m = random_matrix(rng, rng.randint(1, 12), rng.randint(0, 150), rng.randint(1, 12))
+        if m.cols >= 2 and rng.random() < 0.3:
+            cols = m.columns()
+            a, b = sorted(rng.sample(range(m.cols), 2)) if rng.random() < 0.5 else (m.cols - 2, m.cols - 1)
+            cols[b] = cols[a]
+            m = Matrix(tuple(zip(*cols)), m.q)
+        cases.append(m)
+    cases += [random_matrix(rng, 4, rng.randint(0, 150), rng.randint(1, 12)) for _ in range(60)]
+    codes = [reed_solomon_frameproof(*args) for args in ((5, 5, 2), (7, 4, 2), (11, 4, 2), (5, 3, 2), (3, 3, 2), (7, 7, 3))]
+    codes += [identity_construction(12, 3), cyclic_overlap_matrix(12, 11), cyclic_overlap_matrix(4, 3)]
+    for code in codes:
+        cols = code.columns()[:150]
+        rng.shuffle(cols)
+        cases.append(Matrix(tuple(zip(*cols)), code.q))
+    return cases
+
+
+@pytest.mark.slow
+def test_oracle_sweep_is_byte_identical():
+    """Every agreement-kernel output on a seeded corpus, as recorded before
+    the distance scan counted agreement on column masks.
+
+    Per matrix, one JSON line (keys sorted), hashed in order: the
+    find_violation witness JSON for six types, is_linear_shf,
+    is_linear_hypergraph, first_pair_over at every limit 0..N and, on
+    4-row inputs, extract_linear_subfamily's survivor text or message.
+    """
+    types = [(1, 1), (1, 2), (2, 2), (1, 3), (1, 1, 1), (1, 1, 2)]
+    digest = hashlib.sha256()
+    for m in _oracle_sweep_corpus():
+        d = {
+            "witnesses": [
+                None if w is None else w.as_json_dict(m.rows)
+                for w in (find_violation(m, t) for t in types)
+            ],
+            "linear": is_linear_shf(m),
+            "hypergraph_linear": is_linear_hypergraph(matrix_to_hypergraph(m)),
+            "pairs": [verification._Agreement(m).first_pair_over(limit) for limit in range(m.rows + 1)],
+        }
+        if m.rows == 4:
+            try:
+                d["extract"] = write_matrix(extract_linear_subfamily(m))
+            except PreconditionError as err:
+                d["extract"] = [str(err), list(err.pair)]
+        digest.update((json.dumps(d, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == "0b820ca6abf7bd8ff4e8c87f226adf36182cbbdd4cb3f8049a24ce8306e8a191"
