@@ -788,7 +788,15 @@ def vacuous_lower_bound(weights) -> BoundResult:
 
 
 def applicable_upper_bounds(n_rows: int, q: int, weights) -> list[BoundResult]:
-    """Every upper bound whose hypotheses hold at (N, q, W)."""
+    """Every upper bound the library evaluates at (N, q, W), proven or not.
+
+    Proven: the linear bounds (at N <= u-1), the Johnson-type recursion and
+    the uniform grouping.  Listed but flagged, so best_upper_bound never
+    takes them: niu-cao and balanced-grouping (unchecked-hypothesis; niu-cao
+    lies below a verified family at (4, 2, {2,2}) and (4, 3, {2,2})),
+    small-alphabet (asymptotic-approximate) and any value below u-1
+    (below-vacuous-range).
+    """
     w = normalize_weights(weights)
     if w.t < 2:
         raise ValueError("need at least two parts")

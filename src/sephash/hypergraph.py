@@ -10,22 +10,21 @@ Finding a rainbow cycle of even length 2w that touches every part certifies
 that no row separates the odd-position edges from the even-position ones,
 which converts directly into a separation violation witness.
 
-find_rainbow_cycle is one depth-first walk over bitmasks: vertex (i, s) is
-bit i*width + (rank of s among part i's symbols) of an edge's vertex mask,
-and a vertex's incidence mask holds the edges through it.  Each path keeps
-the least part sequence for every set of parts its shared vertices can use.
-The walk is one loop over a stack of frames, one per path edge.
-
-The vertex-bit layout is built only here (_cube serves sephash.search), and
-edge agreement only by sephash.verification's scan (is_linear_hypergraph).
+find_rainbow_cycle is one depth-first walk over the edges as matrix
+columns, on sephash.verification's agreement kernel (_Agreement): two edges
+share a vertex in exactly the parts where their columns agree, so a pair's
+shared parts are its agreeing rows, and the edges meeting an edge are one
+mask, built when the walk first reaches the edge.
+Each path keeps the least part sequence for every set of parts its shared
+vertices can use.  The walk is one loop over a stack of frames, one per
+path edge.  No vertex-bit layout is built here: that one lives in
+sephash.search, whose exact searches read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import combinations, product
-from operator import or_
+from itertools import combinations
 
 from .matrix import Matrix, _certify, _integer
 from .verification import ViolationWitness, _Agreement, row_separates
@@ -123,44 +122,6 @@ def is_linear_hypergraph(h: PartiteHypergraph) -> bool:
     return _Agreement(hypergraph_to_matrix(h)).first_pair_over(1) is None
 
 
-def _vertex_masks(edges, q: int) -> list[int]:
-    """One mask per edge: vertex (part, symbol) is bit part*q + symbol."""
-    return [sum(1 << (i * q + s) for i, s in enumerate(e)) for e in edges]
-
-
-def _incidence(masks, size: int) -> list[int]:
-    """incidence[v]: bit j set iff masks[j] holds bit v, for v < size."""
-    incidence = [0] * size
-    for j, mask in enumerate(masks):
-        for v in _bits(mask):
-            incidence[v] |= 1 << j
-    return incidence
-
-
-def _cube(parts: int, q: int):
-    """Every point of range(q)**parts, in lexicographic order, with its masks.
-
-    The exact searches take these points as candidate columns or edges.
-    Returns (points, masks, incidence): masks[j] is point j's vertex mask
-    (_vertex_masks) and incidence[v] the points through vertex v, as
-    _incidence would find them.  The points sharing point j's symbol in
-    part p are incidence[p*q + points[j][p]]; a search builds those where it
-    reads them.  In lexicographic order vertex (p, s) holds a run of
-    q**(parts-1-p) points at offset s times that run, repeated with period
-    q**(parts-p), so each incidence mask is one run times one comb, shifted.
-    """
-    points = list(product(range(q), repeat=parts))
-    incidence = []
-    for p in range(parts):
-        run = q ** (parts - 1 - p)
-        period = run * q
-        # comb: bit i*period for each of the q**p periods.
-        comb = ((1 << len(points)) - 1) // ((1 << period) - 1)
-        base = ((1 << run) - 1) * comb
-        incidence += [base << (s * run) for s in range(q)]
-    return points, _vertex_masks(points, q), incidence
-
-
 def _bits(mask: int):
     """Indices of the set bits of mask, ascending."""
     while mask:
@@ -177,32 +138,29 @@ def find_rainbow_cycle(h: PartiteHypergraph, k: int) -> RainbowCycle | None:
     for that sequence, the lexicographically least tuple of vertex parts
     (p0, ..., p(k-1)) in RainbowCycle.vertices order, the closing vertex
     (shared by the last and first edges) first.  Callers wanting any length
-    iterate k = 3..r ascending.  Memory grows with the edge count, not with
-    part_size: the masks use per-part symbol ranks, which keep the order.
+    iterate k = 3..r ascending.
+
+    The walk runs on _Agreement with the edges as columns: edges a and e
+    share a vertex in the parts rows_agreeing(a, e) lists, ascending, and
+    the edges meeting e are meeting(e), built when the walk first reaches
+    e.  Memory never grows with part_size.
     """
     k = _integer(k, "cycle length")
     if not 3 <= k <= h.parts:
         raise ValueError(f"cycle length must lie in [3, {h.parts}]")
-    m = len(h.edges)
-    ranks = [{s: r for r, s in enumerate(sorted(set(col)))} for col in zip(*h.edges)]
-    width = max(map(len, ranks), default=1)
-    masks = _vertex_masks([[rk[s] for rk, s in zip(ranks, e)] for e in h.edges], width)
-    incidence = _incidence(masks, h.parts * width)
-    # reach[j]: the edges meeting edge j, itself included.
-    reach = [reduce(or_, map(incidence.__getitem__, _bits(mask)), 0) for mask in masks]
-
-    for first in range(m - k + 1):
+    agreement = _Agreement(hypergraph_to_matrix(h))
+    rows_agreeing, meeting = agreement.rows_agreeing, agreement.meeting
+    for first in range(len(h.edges) - k + 1):
         # Each frame: a path, its used edges (and those below first),
         # options (used-parts mask -> least part sequence of the path's
         # shared vertices) and the untried edges meeting its last edge.
         used = (2 << first) - 1
-        stack = [((first,), used, {0: ()}, _bits(reach[first] & ~used))]
+        stack = [((first,), used, {0: ()}, _bits(meeting(first) & ~used))]
         while stack:
             seq, used, options, nxt = stack[-1]
             for e in nxt:
                 grown: dict[int, tuple[int, ...]] = {}
-                for v in _bits(masks[seq[-1]] & masks[e]):
-                    p = v // width
+                for p in rows_agreeing(seq[-1], e):
                     for mask, parts in options.items():
                         if not mask >> p & 1:
                             key, ext = mask | 1 << p, parts + (p,)
@@ -213,11 +171,10 @@ def find_rainbow_cycle(h: PartiteHypergraph, k: int) -> RainbowCycle | None:
                 path = seq + (e,)
                 if len(path) < k:
                     grew = used | 1 << e
-                    stack.append((path, grew, grown, _bits(reach[e] & ~grew)))
+                    stack.append((path, grew, grown, _bits(meeting(e) & ~grew)))
                     break
                 # e closes the cycle through a vertex it shares with first.
-                for v in _bits(masks[e] & masks[first]):
-                    p = v // width
+                for p in rows_agreeing(first, e):
                     free = [parts for mask, parts in grown.items() if not mask >> p & 1]
                     if free:
                         parts = (p,) + min(free)

@@ -9,10 +9,11 @@ and a failed re-check raises CertificationError (an explicit raise, so it
 also runs under python -O).  random_shf_alteration prunes until the oracle
 accepts and returns the matrix that last call accepted, with no second call.
 
-Both exact searches take their candidate space from hypergraph._cube: all
-q**N columns (or edges) in lexicographic order, each column's vertex mask
-and each vertex's incidence mask, the candidates through it.  Anything more
-per candidate is built by the search that reads it.  exact_capacity runs one
+Both exact searches take their candidate space from _cube, the one builder
+of the vertex-bit layout: all q**N columns (or edges) in lexicographic
+order, each one's vertex mask (symbol s in row r is bit r*q + s) and each
+vertex's incidence mask, the candidates through it.  Anything more per
+candidate is built by the search that reads it.  exact_capacity runs one
 loop over an explicit stack of frames, whose chosen sets are prefixes of one
 shared path and whose holed-tuple lists hang on one persistent chain (memory
 linear in the depth and in the tuples); rainbow_free_extremal_search runs
@@ -70,13 +71,7 @@ from itertools import combinations, product
 from operator import and_, or_
 
 from .bounds import _log_miss
-from .hypergraph import (
-    PartiteHypergraph,
-    _bits,
-    _cube,
-    find_rainbow_cycle,
-    is_linear_hypergraph,
-)
+from .hypergraph import PartiteHypergraph, _bits, find_rainbow_cycle, is_linear_hypergraph
 # CertificationError is re-exported: sephash.search.CertificationError stays.
 from .matrix import (
     CertificationError,
@@ -91,6 +86,31 @@ from .verification import PreconditionError, _Agreement, find_violation
 _DEFAULT_NODE_BUDGET = 5_000_000
 
 _DEFAULT_RAINBOW_FREE_BUDGET = 200_000
+
+
+def _cube(parts: int, q: int):
+    """Every point of range(q)**parts, in lexicographic order, with its masks.
+
+    The exact searches take these points as candidate columns or edges.
+    Returns (points, masks, incidence): masks[j] is point j's vertex mask,
+    vertex (p, s) being bit p*q + s, and incidence[v] the points through
+    vertex v (those sharing point j's symbol in part p are
+    incidence[p*q + points[j][p]]).  In lexicographic order vertex (p, s)
+    holds a run of q**(parts-1-p) points at offset s times that run,
+    repeated with period q**(parts-p), so each incidence mask is one run
+    times one comb, shifted.
+    """
+    points = list(product(range(q), repeat=parts))
+    masks = [sum(1 << (p * q + s) for p, s in enumerate(point)) for point in points]
+    incidence = []
+    for p in range(parts):
+        run = q ** (parts - 1 - p)
+        period = run * q
+        # comb: bit i*period for each of the q**p periods.
+        comb = ((1 << len(points)) - 1) // ((1 << period) - 1)
+        base = ((1 << run) - 1) * comb
+        incidence += [base << (s * run) for s in range(q)]
+    return points, masks, incidence
 
 
 def _has_private_rows(m: Matrix) -> bool:
@@ -573,7 +593,7 @@ def _doomed(i, chosen, splits, q, masks, joined, free_pairs):
 
     chosen is a bitmask of candidate indices (i not among them), splits
     _arm_splits(ks) and q the part size.  masks[e] is edge e's vertex mask
-    (from hypergraph._cube), and joined[e] = (at, near, conflict) its record
+    (from _cube), and joined[e] = (at, near, conflict) its record
     for i and every chosen e: at[p] holds the candidates through its vertex
     in part p and near those sharing a vertex with it.  free_pairs comes
     from _free_part_pairs.  Exact for every candidate c

@@ -115,7 +115,9 @@ class _Agreement:
     classes[r] maps each symbol of row r to its ascending columns; bit r of
     row(x)[z], built on first use and kept, is set iff columns x and z agree
     in row r.  Building a row costs a Python step per column of x's class
-    in every row, about N*n/q.
+    in every row, about N*n/q; meeting(x), the columns agreeing with x
+    somewhere as one mask, costs the same and is also kept, while
+    rows_agreeing(x, z) compares one pair in O(N) and keeps nothing.
 
     first_pair_over checks column 0 on row(0): the search's first part
     always holds column 0, so it needs that row anyway, and a failing input
@@ -140,6 +142,7 @@ class _Agreement:
             for z, s in enumerate(symbols):
                 by_symbol.setdefault(s, []).append(z)
         self.memo: list[list[int] | None] = [None] * m.cols
+        self.met: dict[int, int] = {}
 
     def row(self, x: int) -> list[int]:
         if self.memo[x] is None:
@@ -148,6 +151,17 @@ class _Agreement:
                 for z in by_symbol[symbols[x]]:
                     got[z] |= 1 << r
         return self.memo[x]
+
+    def rows_agreeing(self, x: int, z: int) -> list[int]:
+        """The rows where columns x and z agree, ascending."""
+        return [r for r, symbols in enumerate(self.entries) if symbols[x] == symbols[z]]
+
+    def meeting(self, x: int) -> int:
+        """Bit z set iff columns x and z agree in some row (x included)."""
+        if x not in self.met:
+            cols = {z for symbols, by_symbol in zip(self.entries, self.classes) for z in by_symbol[symbols[x]]}
+            self.met[x] = sum(map((1).__lshift__, cols))
+        return self.met[x]
 
     def first_pair_over(self, limit: int) -> tuple[int, int, int] | None:
         """First (x, z, agreements > limit), x < z lexicographic, or None.
@@ -188,7 +202,7 @@ class _Agreement:
             over = at[limit] >> (x + 1)
             if over:
                 z = x + (over & -over).bit_length()
-                return x, z, sum(symbols[x] == symbols[z] for symbols in entries)
+                return x, z, len(self.rows_agreeing(x, z))
         return None
 
 

@@ -23,7 +23,9 @@ searches are checked against plain subset searches in the same order, with
 the same size bound and node counting, whose only filter is the library's
 whole-matrix checks: find_violation on the chosen columns plus the
 candidate, and is_linear_hypergraph and find_rainbow_cycle on the chosen
-edges plus the candidate.
+edges plus the candidate.  The candidate cube's closed-form incidence masks
+are checked against the per-vertex bit walk that the earlier
+find_rainbow_cycle ran on arbitrary edges.
 """
 
 from collections import Counter
@@ -216,6 +218,16 @@ def reference_has_private_rows(m: Matrix) -> bool:
         counts = Counter(row)
         private.update(j for j, s in enumerate(row) if counts[s] == 1)
     return len(private) == m.cols
+
+
+def reference_incidence(masks, size: int) -> list[int]:
+    """incidence[v]: bit j set iff masks[j] holds bit v, for v < size."""
+    incidence = [0] * size
+    for j, mask in enumerate(masks):
+        for v in range(size):
+            if mask >> v & 1:
+                incidence[v] |= 1 << j
+    return incidence
 
 
 def _shared_parts(h: PartiteHypergraph, a: int, b: int) -> tuple[int, ...]:

@@ -1,5 +1,6 @@
 """Tests for the capacity bound engine and the simplex optimizer."""
 
+import hashlib
 import json
 import math
 import random
@@ -50,6 +51,10 @@ from sephash.bounds import (
     trung_bound,
     vacuous_lower_bound,
 )
+from sephash.matrix import normalize_weights
+from sephash.search import exact_capacity
+from sephash.verification import find_violation
+
 from helpers import (
     reference_johnson_value,
     reference_rate_grad,
@@ -736,8 +741,6 @@ class TestJsonShape:
 
 class TestSandwich:
     def test_capacity_between_bounds(self):
-        from sephash.search import exact_capacity
-
         grid = [
             (1, 2, (1, 1)),
             (2, 2, (1, 1)),
@@ -757,6 +760,75 @@ class TestSandwich:
             lo = prob_lower_bound(n_rows, q, weights).value
             hi = best_upper_bound(n_rows, q, weights).value
             assert lo <= value <= hi, (n_rows, q, weights, lo, value, hi)
+
+
+AUDIT_TYPES = [(1, 1), (1, 2), (2, 2), (1, 3), (1, 1, 1), (1, 1, 2), (2, 3), (1, 4)]
+
+# (provenance, N, q, W) of each listed upper bound that a verified witness
+# of the audit grid exceeds.  The niu-cao quote drops its published
+# hypotheses (its docstring says so); ROADMAP item 1 empties this list.
+EXPECTED_REFUTATIONS = [("niu-cao", 4, 2, (2, 2)), ("niu-cao", 4, 3, (2, 2))]
+
+# (point, its tripped value, embedded exact point, its value): a search
+# that tripped its budget found less than a certified family that embeds
+# into its point (one row fewer, or one symbol fewer).  Not a wrong claim,
+# since a tripped value is only a lower bound; ROADMAP item 11 settles them.
+PINNED_FINDINGS = [
+    ((3, 5, (2, 2)), 5, (3, 4, (2, 2)), 8),
+    ((4, 4, (2, 2)), 8, (4, 3, (2, 2)), 9),
+    ((4, 4, (2, 3)), 4, (3, 4, (2, 3)), 5),
+    ((5, 3, (2, 2)), 5, (4, 3, (2, 2)), 9),
+]
+
+
+@pytest.mark.slow
+def test_claims_audit():
+    """No claim on the audit grid contradicts a certificate of the library.
+
+    The grid is AUDIT_TYPES at every (N, q) with 2 <= q <= 5 and
+    q**N <= 300, searched by exact_capacity with a 50,000-node budget.
+    Every witness is re-verified and is at most every listed upper bound
+    (but EXPECTED_REFUTATIONS).  Every exact value is at least the
+    probabilistic lower bound and u-1, equals u-1 where q < t, and is at
+    most the value found at (N+1, q, W) and at (N, q+1, W) when that one is
+    exact too; a tripped value below it is a finding (PINNED_FINDINGS).
+    One JSON line per point (the search result without elapsed_seconds,
+    and each listed bound's provenance with whether the value is within
+    it), keys sorted, is hashed in order.
+    """
+    points = [(n_rows, q) for q in range(2, 6) for n_rows in range(1, 9) if q**n_rows <= 300]
+    found, refuted = {}, []
+    digest = hashlib.sha256()
+    for weights in AUDIT_TYPES:
+        w = normalize_weights(weights)
+        for n_rows, q in points:
+            r = exact_capacity(n_rows, q, weights, node_budget=50_000)
+            assert r.witness.cols == r.value and find_violation(r.witness, weights) is None
+            bounds = applicable_upper_bounds(n_rows, q, weights)
+            refuted += [(b.provenance, n_rows, q, weights) for b in bounds if r.value > b.value]
+            if r.exact:
+                assert r.value >= prob_lower_bound(n_rows, q, weights).value
+                assert r.value >= w.u - 1
+                if q < w.t:
+                    assert r.value == w.u - 1, (n_rows, q, weights)
+            found[n_rows, q, weights] = r
+            d = r.as_json_dict()
+            del d["elapsed_seconds"]
+            d["bounds"] = [[b.provenance, r.value <= b.value] for b in bounds]
+            digest.update((json.dumps(d, sort_keys=True) + "\n").encode())
+    findings = []
+    for (n_rows, q, weights), r in found.items():
+        if not r.exact:
+            continue
+        for point in ((n_rows + 1, q, weights), (n_rows, q + 1, weights)):
+            other = found.get(point)
+            if other is not None and other.value < r.value:
+                assert not other.exact, ("not monotone", point, (n_rows, q, weights))
+                findings.append((point, other.value, (n_rows, q, weights), r.value))
+    assert len(found) == 160
+    assert refuted == EXPECTED_REFUTATIONS
+    assert sorted(findings) == PINNED_FINDINGS
+    assert digest.hexdigest() == "88d74be4ad62dce17b2131351f176aa78ed18d0c27ad2419ad9a39bb9211a007"
 
 
 def _same_bound_value(actual, golden) -> bool:

@@ -1,10 +1,12 @@
 """Tests for the matrix<->hypergraph view and rainbow-cycle machinery."""
 
+import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,7 @@ from sephash.hypergraph import (
     shadow_graph,
 )
 from sephash.matrix import Matrix
-from sephash.search import cyclic_overlap_matrix
+from sephash.search import cyclic_overlap_matrix, rainbow_free_extremal_search, reed_solomon_frameproof
 from sephash.verification import find_violation, is_linear_shf, row_separates
 
 from helpers import random_linear_extension, random_matrix, reference_find_rainbow_cycle
@@ -166,6 +168,42 @@ def test_large_alphabet_keeps_masks_small():
     assert json.loads(proc.stdout) == expected
 
 
+def test_cycle_among_the_first_edges_builds_little():
+    # The first three edges close a triangle, and 5,000 random edges over a
+    # million symbols follow.  Under CPython 3.11 the search peaks at
+    # 2.3 MiB: the walk builds agreement data only for the edges it reaches.
+    # Masks built for every edge before the walk took it to 16 MiB.
+    rng = random.Random(5)
+    triangle = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    rest = tuple(tuple(rng.randrange(2, 10**6) for _ in range(3)) for _ in range(5000))
+    h = PartiteHypergraph(3, 10**6, triangle + rest)
+    tracemalloc.start()
+    try:
+        cycle = find_rainbow_cycle(h, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cycle == RainbowCycle(((1, 0), (0, 0), (2, 0)), (0, 1, 2))
+    assert peak < 6 * 2**20
+
+
+def test_wide_walk_keeps_no_row_per_reached_edge():
+    # 2,000 random edges in 8 parts over 5,000 symbols: the walk reaches
+    # many edges before its first triangle.  Under CPython 3.11 it peaks at
+    # 2.3 MiB.  An n-entry agreement row kept for each reached edge took it
+    # to 5.9 MiB, and masks built for every edge up front to 6.8 MiB.
+    rng = random.Random(2)
+    h = PartiteHypergraph(8, 5000, tuple(tuple(rng.randrange(5000) for _ in range(8)) for _ in range(2000)))
+    tracemalloc.start()
+    try:
+        cycle = find_rainbow_cycle(h, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cycle == RainbowCycle(((1, 3620), (0, 4076), (7, 10)), (61, 222, 1785))
+    assert peak < 4 * 2**20
+
+
 # Tie-breaks recorded from the earlier implementation (now
 # reference_find_rainbow_cycle): the closing vertex's part ranks first.
 PINNED_CYCLES = [
@@ -224,6 +262,62 @@ def partite_hypergraphs(draw):
 def test_matches_reference_cycle(h):
     for k in range(3, h.parts + 1):
         assert find_rainbow_cycle(h, k) == reference_find_rainbow_cycle(h, k)
+
+
+def _cycle_sweep_corpus():
+    """Seeded hypergraphs for the cycle sweep, in a fixed order.
+
+    Random edge lists (parts 3-7, q 1-6, 0-30 edges, half of them kept
+    linear greedily), cyclic overlaps, the Reed-Solomon codes RS(11,4,2) and
+    RS(23,4,2), and results of the rainbow-free search.
+    """
+    rng = random.Random(31)
+    cases = []
+    for parts in range(3, 8):
+        for q in range(1, 7):
+            for _ in range(80):
+                edges = [tuple(rng.randrange(q) for _ in range(parts)) for _ in range(rng.randint(0, 30))]
+                if rng.random() < 0.5:
+                    kept = []
+                    for e in edges:
+                        if all(sum(a == b for a, b in zip(e, f)) <= 1 for f in kept):
+                            kept.append(e)
+                    edges = kept
+                cases.append(PartiteHypergraph(parts, q, tuple(edges)))
+    for k in range(3, 9):
+        for q in (k - 1, k + 2):
+            cases.append(matrix_to_hypergraph(cyclic_overlap_matrix(k, q)))
+    for q in (11, 23):
+        cases.append(matrix_to_hypergraph(reed_solomon_frameproof(q, 4, 2)))
+    for parts, q, ks in [(3, 3, (3,)), (4, 3, (3,)), (4, 3, (4,)), (4, 3, (3, 4)), (5, 2, (3, 5)), (5, 3, (4,)), (6, 2, (3, 6))]:
+        cases.append(rainbow_free_extremal_search(parts, q, ks, node_budget=3_000).hypergraph)
+    return cases
+
+
+@pytest.mark.slow
+def test_cycle_sweep_is_byte_identical():
+    """Every find_rainbow_cycle result on a seeded corpus, as recorded before
+    the walk ran on the oracle's agreement rows.
+
+    Per hypergraph and cycle length k in [3, parts], one JSON line (keys
+    sorted) with the shape, k and the cycle, hashed in order.
+    """
+    digest = hashlib.sha256()
+    calls = 0
+    for h in _cycle_sweep_corpus():
+        for k in range(3, h.parts + 1):
+            cycle = find_rainbow_cycle(h, k)
+            d = {
+                "parts": h.parts,
+                "q": h.part_size,
+                "edges": len(h.edges),
+                "k": k,
+                "cycle": None if cycle is None else cycle.as_json_dict(),
+            }
+            digest.update((json.dumps(d, sort_keys=True) + "\n").encode())
+            calls += 1
+    assert calls == 7263
+    assert digest.hexdigest() == "8afbcdb56fe0312277b168bd882517a27e85a4389b6ee29d3d7064e2c099014e"
 
 
 class TestShadowGraph:

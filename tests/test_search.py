@@ -17,12 +17,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sephash
-from sephash.hypergraph import _cube, _incidence, find_rainbow_cycle, is_linear_hypergraph, matrix_to_hypergraph
+from sephash.hypergraph import find_rainbow_cycle, is_linear_hypergraph, matrix_to_hypergraph
 from sephash.matrix import Matrix, write_matrix
 from sephash.search import (
     CapacityResult,
     CertificationError,
     _arm_splits,
+    _cube,
     _doomed,
     _free_part_pairs,
     _holed_layouts,
@@ -41,7 +42,7 @@ from sephash.verification import (
     is_linear_shf,
 )
 
-from helpers import naive_is_separating, reference_capacity, reference_rainbow_free
+from helpers import naive_is_separating, reference_capacity, reference_incidence, reference_rainbow_free
 
 # (N, q, W) -> (value, nodes, exact, witness text), recorded from the search
 # before its candidate filter was rewritten.  Node counts pin the search tree:
@@ -639,13 +640,12 @@ def test_cube_holds_points_masks_and_incidence(parts, q):
 
 
 def test_cube_incidence_closed_form_matches_bit_walk():
-    # The cube's periodic incidence masks against the per-vertex bit walk
-    # that find_rainbow_cycle keeps for arbitrary edges.
+    # The cube's periodic incidence masks against a per-vertex bit walk.
     for parts in range(1, 7):
         for q in range(1, 6):
             if q**parts <= 15_625:
                 points, masks, incidence = _cube(parts, q)
-                assert incidence == _incidence(masks, parts * q), (parts, q)
+                assert incidence == reference_incidence(masks, parts * q), (parts, q)
 
 
 @pytest.mark.parametrize(
