@@ -15,6 +15,7 @@ import sys
 from .bounds import applicable_upper_bounds, prob_lower_bound, vacuous_lower_bound
 from .coverfree import frameproof_threshold_bounds, is_cff, shf_to_cff_double, cff_derived
 from .hypergraph import (
+    _cycles,
     cycle_to_violation,
     find_rainbow_cycle,
     hypergraph_to_matrix,
@@ -133,11 +134,8 @@ def _cmd_hypergraph(args) -> int:
         )
         return EXIT_OK
     if args.rainbow == "any":
-        cycle = None
-        for k in range(3, h.parts + 1):
-            cycle = find_rainbow_cycle(h, k)
-            if cycle is not None:
-                break
+        cycles = _cycles(h, range(3, h.parts + 1))
+        cycle = next((c for c in cycles if c is not None), None)
     else:
         cycle = find_rainbow_cycle(h, int(args.rainbow))
     if cycle is None:

@@ -8,6 +8,12 @@ every member keeps a private row against every w of its peers.
 Cover-free families are exactly the binary {1, w}-separating families up to
 a row-doubling transform, which is what powers the numeric thresholds at
 the bottom of this module.
+
+is_cff decides each member, then names a witness.  Deciding is a branching
+search over two views of the matrix, each member's element mask and each
+element's holder mask (a row read as an int), that only asks whether some
+w others cover the member.  Naming is verification._first_cover, the cover
+search find_violation shares, run once, on the first member found covered.
 """
 
 from __future__ import annotations
@@ -36,19 +42,90 @@ def is_cff(m: Matrix, w: int) -> tuple[int, tuple[int, ...]] | None:
     members, a row where A0 is 1 and all of them are 0.  Otherwise returns
     the lexicographically first violating (A0; A1..Aw).  Families with at
     most w members are vacuously cover-free.
+
+    Each member is decided by _covered, a branching search over its
+    elements; only the first member found covered is handed to
+    verification._first_cover, which names its lexicographically first
+    cover.
     """
     _require_binary(m)
     w = _integer(w, "w")
     if w < 1:
         raise ValueError("w must be positive")
-    # masks[j]: bit r set iff member j holds element r.
-    masks = [sum(1 << r for r, e in enumerate(col) if e) for col in m.columns()]
-    cols = list(range(m.cols))
-    for a0 in cols:
-        cover = _first_cover(masks, masks[a0], w, cols[:a0] + cols[a0 + 1 :])
-        if cover is not None:
+    n = m.cols
+    if n <= w:
+        return None
+    # masks[j]: bit r set iff member j holds element r; holders[r]: bit j
+    # set iff member j holds element r (row r read as an int).
+    masks = [_mask(col) for col in m.columns()]
+    holders = [_mask(row) for row in m.entries]
+    everyone = (1 << n) - 1
+    for a0 in range(n):
+        if _covered(masks[a0], everyone ^ 1 << a0, w, masks, holders):
+            cover = _first_cover(masks, masks[a0], w, [j for j in range(n) if j != a0])
+            _certify(cover is not None, f"member {a0} has a {w}-cover")
             return (a0, cover)
     return None
+
+
+# Maps a 0/1 entry byte to its ASCII digit, so a row or column reads as one
+# base-2 int (its first entry least significant, hence the reversal).
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _mask(bits: tuple[int, ...]) -> int:
+    """Bit i set iff bits[i] == 1, for a non-empty tuple of 0/1 entries."""
+    return int(bytes(bits[::-1]).translate(_DIGITS), 2)
+
+
+def _covered(need: int, alive: int, w: int, masks, holders) -> bool:
+    """True iff at most w members of alive hold every element of need.
+
+    masks and holders are is_cff's two views of the matrix.  A node is a
+    need left, the members still alive and the members it may add.  It
+    branches on the uncovered element with the fewest alive holders, one
+    child per holder; a holder tried at a node is not alive in its later
+    siblings.  With one member left it ANDs the holder masks of the
+    elements still uncovered.  Sound and complete: every cover of the need
+    contains a holder of the chosen element, and a cover that contains an
+    earlier sibling was already explored in that sibling's branch.  One
+    loop over an explicit stack, so no need is too wide for the recursion
+    limit.
+    """
+    if not need:
+        return True
+    stack = [(need, alive, w)]
+    while stack:
+        need, alive, w = stack.pop()
+        if w == 1:
+            while need and alive:
+                low = need & -need
+                need ^= low
+                alive &= holders[low.bit_length() - 1]
+            if alive:
+                return True
+            continue
+        fewest, count = 0, alive.bit_count() + 1
+        left = need
+        while left:
+            low = left & -left
+            left ^= low
+            held = holders[low.bit_length() - 1] & alive
+            c = held.bit_count()
+            if c < count:
+                fewest, count = held, c
+                if not c:
+                    break
+        tried = 0
+        while fewest:
+            low = fewest & -fewest
+            fewest ^= low
+            tried |= low
+            rest = need & ~masks[low.bit_length() - 1]
+            if not rest:
+                return True
+            stack.append((rest, alive & ~tried, w - 1))
+    return False
 
 
 def cff_derived(m: Matrix, member: int, w: int) -> Matrix:

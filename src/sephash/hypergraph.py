@@ -17,8 +17,10 @@ shared parts are its agreeing rows, and the edges meeting an edge are one
 mask, built when the walk first reaches the edge.
 Each path keeps the least part sequence for every set of parts its shared
 vertices can use.  The walk is one loop over a stack of frames, one per
-path edge.  No vertex-bit layout is built here: that one lives in
-sephash.search, whose exact searches read it.
+path edge.  Callers that try several cycle lengths (the CLI's
+`--rainbow any`, the rainbow-free search's final certificate) run every
+walk on one kernel through _cycles.  No vertex-bit layout is built here:
+that one lives in sephash.search, whose exact searches read it.
 """
 
 from __future__ import annotations
@@ -148,7 +150,22 @@ def find_rainbow_cycle(h: PartiteHypergraph, k: int) -> RainbowCycle | None:
     k = _integer(k, "cycle length")
     if not 3 <= k <= h.parts:
         raise ValueError(f"cycle length must lie in [3, {h.parts}]")
+    return next(_cycles(h, (k,)))
+
+
+def _cycles(h: PartiteHypergraph, ks):
+    """find_rainbow_cycle(h, k) for each k of ks in turn, on one _Agreement.
+
+    Each k in ks must lie in [3, h.parts]; the agreement kernel is built
+    once for h and shared by every walk.
+    """
     agreement = _Agreement(hypergraph_to_matrix(h))
+    for k in ks:
+        yield _walk(h, agreement, k)
+
+
+def _walk(h: PartiteHypergraph, agreement: _Agreement, k: int) -> RainbowCycle | None:
+    """find_rainbow_cycle's walk for one k, on h's agreement kernel."""
     rows_agreeing, meeting = agreement.rows_agreeing, agreement.meeting
     for first in range(len(h.edges) - k + 1):
         # Each frame: a path, its used edges (and those below first),

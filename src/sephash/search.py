@@ -71,7 +71,7 @@ from itertools import combinations, product
 from operator import and_, or_
 
 from .bounds import _log_miss
-from .hypergraph import PartiteHypergraph, _bits, find_rainbow_cycle, is_linear_hypergraph
+from .hypergraph import PartiteHypergraph, _bits, _cycles, is_linear_hypergraph
 # CertificationError is re-exported: sephash.search.CertificationError stays.
 from .matrix import (
     CertificationError,
@@ -678,7 +678,8 @@ def rainbow_free_extremal_search(
     same candidate.  The reported nodes can exceed node_budget by up to the
     depth reached, as each level above the trip counts one more candidate
     before it sees it.  The final result is re-verified from scratch
-    (is_linear_hypergraph, find_rainbow_cycle) before returning.  The
+    (is_linear_hypergraph, then find_rainbow_cycle's walk at every k of
+    k_range on one agreement kernel) before returning.  The
     search recurses once per chosen edge, at most part_size**2 <= 25 deep:
     linear edges never share a vertex pair, and parts 0 and 1 have only
     part_size**2 of them.
@@ -749,8 +750,8 @@ def rainbow_free_extremal_search(
     dfs(0, (1 << n) - 1)
     h = PartiteHypergraph(parts, q, tuple(best))
     _certify(is_linear_hypergraph(h), "hypergraph is linear")
-    for k in ks:
-        _certify(find_rainbow_cycle(h, k) is None, f"hypergraph has no rainbow {k}-cycle")
+    for k, cycle in zip(ks, _cycles(h, ks)):
+        _certify(cycle is None, f"hypergraph has no rainbow {k}-cycle")
     return RainbowFreeResult(
         edge_count=len(h.edges),
         hypergraph=h,

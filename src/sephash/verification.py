@@ -7,12 +7,14 @@ It first tries the distance certificate (no two columns agree in more than
 (N-1) // sum_{i<j} wi*wj rows), which proves separation without looking at
 a part tuple.  Otherwise one pass over the part tuples, carrying the OR of
 the rows left unseparated, decides it and returns a reproducible
-certificate when the property fails.  The pass and the cover search it
-shares with is_cff are loops, so no part is too wide for the interpreter's
-recursion limit.  _Agreement computes column agreement: its scan for the
-first pair agreeing in more than L rows counts, for each column x past 0,
-every column's agreement with x at once on per-(row, symbol) column masks,
-at most min(L+1, N-L) big-integer operations per row.
+certificate when the property fails.  The pass and its cover search
+(_first_cover, which is_cff runs only to name the witness of a member it
+has already found covered) are loops, so no part is too wide for the
+interpreter's recursion limit.  _Agreement computes column agreement: its
+scan for the first pair agreeing in more than L rows counts, for each
+column x past 0, every column's agreement with x at once on per-(row,
+symbol) column masks, at most min(L+1, N-L) big-integer operations per
+row.
 
 Everything here is pure and operates on immutable matrices; calls are safe
 to run concurrently.

@@ -1,5 +1,7 @@
 """Tests for cover-free families, the doubling transform, and thresholds."""
 
+import hashlib
+import json
 import math
 import os
 import random
@@ -19,8 +21,8 @@ from sephash.coverfree import (
     is_cff,
     shf_to_cff_double,
 )
-from sephash.matrix import CertificationError, Matrix
-from sephash.search import identity_construction
+from sephash.matrix import CertificationError, Matrix, write_matrix
+from sephash.search import identity_construction, reed_solomon_frameproof
 from sephash.verification import PreconditionError, find_violation
 
 from helpers import naive_first_cover, random_matrix, reference_quadratic_piece
@@ -70,8 +72,8 @@ class TestIsCff:
         rng = random.Random(23)
         found = 0
         for _ in range(400):
-            m = random_matrix(rng, rng.randint(1, 6), rng.randint(0, 8), 2)
-            w = rng.randint(1, 3)
+            m = random_matrix(rng, rng.randint(1, 6), rng.randint(0, 10), 2)
+            w = rng.randint(1, 4)
             got = is_cff(m, w)
             assert got == naive_first_cover(m, w)
             found += got is not None
@@ -265,3 +267,65 @@ class TestCertification:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         done = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
         assert done.returncode == 0
+
+
+def binary_image(m):
+    """Symbol s of a q-ary row becomes the unit vector e_s: {1,w}-separation carries over."""
+    rows = tuple(tuple(1 if e == s else 0 for e in row) for row in m.entries for s in range(m.q))
+    return Matrix(rows, 2)
+
+
+def _cover_free_sweep_corpus():
+    """Seeded binary matrices for the cover-free byte sweep.
+
+    Random matrices up to 20 x 24 at densities 0.2, 0.5 and 0.8, the
+    doubled binary images of RS(5,3,2), RS(5,4,3) and RS(7,3,2) (w-cover-
+    free at their code's w, covered above it), and copies of each image
+    where one late member is replaced by the union of 1-4 others.
+    """
+    rng = random.Random(32)
+    cases = []
+    for density in (0.2, 0.5, 0.8):
+        for _ in range(60):
+            n_rows, n_cols = rng.randint(1, 20), rng.randint(0, 24)
+            rows = tuple(tuple(int(rng.random() < density) for _ in range(n_cols)) for _ in range(n_rows))
+            cases.append(Matrix(rows, 2))
+    for args in ((5, 3, 2), (5, 4, 3), (7, 3, 2)):
+        doubled = shf_to_cff_double(binary_image(reed_solomon_frameproof(*args)), args[2])
+        cases.append(doubled)
+        for size in range(1, 5):
+            cols = doubled.columns()
+            target = rng.randrange(doubled.cols // 2, doubled.cols)
+            union = rng.sample([j for j in range(doubled.cols) if j != target], size)
+            cols[target] = tuple(max(cols[j][r] for j in union) for r in range(doubled.rows))
+            cases.append(Matrix(tuple(zip(*cols)), 2))
+    return cases
+
+
+@pytest.mark.slow
+def test_cover_free_sweep_is_byte_identical():
+    """Every cover-free output on a seeded corpus, as recorded before is_cff
+    branched on the least-held uncovered element.
+
+    Per matrix, one JSON line (keys sorted), hashed in order: is_cff for
+    w = 1..4, shf_to_cff_double's output text or message for w = 1..4 and
+    cff_derived's for w = 2..4 on one seeded member.
+    """
+
+    def text_or_message(call, *args):
+        try:
+            return write_matrix(call(*args))
+        except PreconditionError as err:
+            return str(err)
+
+    rng = random.Random(33)
+    digest = hashlib.sha256()
+    for m in _cover_free_sweep_corpus():
+        member = rng.randrange(max(m.cols, 1))
+        d = {
+            "cff": [is_cff(m, w) for w in range(1, 5)],
+            "double": [text_or_message(shf_to_cff_double, m, w) for w in range(1, 5)],
+            "derived": [text_or_message(cff_derived, m, member, w) for w in range(2, 5)],
+        }
+        digest.update((json.dumps(d, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == "c3b0320166a9f233de262023a3068f9e82463c9ac1d594da52ba7803efaa7eeb"

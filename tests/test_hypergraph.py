@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from sephash.hypergraph import (
     PartiteHypergraph,
+    _cycles,
     RainbowCycle,
     cycle_to_violation,
     find_rainbow_cycle,
@@ -260,8 +261,11 @@ def partite_hypergraphs(draw):
 @example(h=PINNED_CYCLES[1][0])
 @example(h=PartiteHypergraph(3, 1, ((0, 0, 0),) * 4))
 def test_matches_reference_cycle(h):
-    for k in range(3, h.parts + 1):
-        assert find_rainbow_cycle(h, k) == reference_find_rainbow_cycle(h, k)
+    ks = range(3, h.parts + 1)
+    want = [reference_find_rainbow_cycle(h, k) for k in ks]
+    assert [find_rainbow_cycle(h, k) for k in ks] == want
+    # Every k walked on one shared agreement kernel finds the same cycles.
+    assert list(_cycles(h, ks)) == want
 
 
 def _cycle_sweep_corpus():

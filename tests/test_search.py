@@ -937,7 +937,9 @@ class TestCertification:
 
 def test_no_walk_depends_on_the_recursion_limit():
     # Each walk is deeper than the limit: a 149-member part or cover, a
-    # 150-edge cycle and a 150-part holed tuple.  Exit 1-4 names the walk.
+    # 149-member cover of a non-empty need (column 0 holds every row, the
+    # others one row each), a 150-edge cycle and a 150-part holed tuple.
+    # Exit 1-5 names the walk.
     script = (
         "import sys\n"
         "sys.setrecursionlimit(120)\n"
@@ -951,6 +953,9 @@ def test_no_walk_depends_on_the_recursion_limit():
         "    sys.exit(1)\n"
         "if is_cff(zeros, 149) != (0, rest):\n"
         "    sys.exit(2)\n"
+        "star = Matrix(tuple((1,) + tuple(int(i == j) for j in range(149)) for i in range(149)), 2)\n"
+        "if is_cff(star, 149) != (0, rest):\n"
+        "    sys.exit(5)\n"
         "h = matrix_to_hypergraph(cyclic_overlap_matrix(150, 149))\n"
         "if find_rainbow_cycle(h, 150).edges != tuple(range(150)):\n"
         "    sys.exit(3)\n"
