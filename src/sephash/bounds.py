@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import add, mul, sub
 
-from .matrix import SeparationType, _certify, _integer, normalize_weights
+from .matrix import SeparationType, _certify, _integer, _rows_and_alphabet, _type, normalize_weights
 
 INF = math.inf
 
@@ -100,7 +100,7 @@ class BoundResult:
 
 
 def _require_alphabet(q) -> int:
-    """q as an int, refused unless it is an integer of at least 1."""
+    """q as an int of at least 1, for the bounds that take no N."""
     q = _integer(q, "q")
     if q < 1:
         raise ValueError("need q >= 1")
@@ -129,9 +129,7 @@ def all_distinct_probability(q: int, j: int) -> Fraction:
 
 def blackburn_bound(q: int, weights) -> BoundResult:
     """(w1*w2 + u - w1 - w2) * q columns at N = u - 1 rows."""
-    w = normalize_weights(weights)
-    if w.t < 2:
-        raise ValueError("need at least two parts")
+    w = _type(weights)
     q = _require_alphabet(q)
     w1, w2 = w.weights[0], w.weights[1]
     value = (w1 * w2 + w.u - w1 - w2) * q
@@ -140,9 +138,7 @@ def blackburn_bound(q: int, weights) -> BoundResult:
 
 def trung_bound(q: int, weights) -> BoundResult:
     """(u - 1) * q columns at N = u - 1 rows."""
-    w = normalize_weights(weights)
-    if w.t < 2:
-        raise ValueError("need at least two parts")
+    w = _type(weights)
     q = _require_alphabet(q)
     value = (w.u - 1) * q
     return _upper(value, PROV_TRUNG, w, {"q": q, "weights": w.weights, "N": w.u - 1})
@@ -184,12 +180,8 @@ def balanced_grouping_bound(n_rows: int, q: int, weights) -> BoundResult:
     assumes the floor-size instance still admits u columns; that hypothesis
     is not checked here, so results carry an assumption flag.
     """
-    w = normalize_weights(weights)
-    if w.u < 2:
-        raise ValueError("need u >= 2")
-    n_rows, q = _integer(n_rows, "N"), _require_alphabet(q)
-    if n_rows < 1:
-        raise ValueError("need N >= 1")
+    w = _type(weights)
+    n_rows, q = _rows_and_alphabet(n_rows, q)
     span = w.u - 1
     r = n_rows % span or span
     return _upper(
@@ -203,12 +195,8 @@ def balanced_grouping_bound(n_rows: int, q: int, weights) -> BoundResult:
 
 def grouping_composition_bound(n_rows: int, q: int, weights) -> BoundResult:
     """(u-1) * q**ceil(N/(u-1)): group rows, then apply the linear bound."""
-    w = normalize_weights(weights)
-    if w.u < 2:
-        raise ValueError("need u >= 2")
-    n_rows, q = _integer(n_rows, "N"), _require_alphabet(q)
-    if n_rows < 1:
-        raise ValueError("need N >= 1")
+    w = _type(weights)
+    n_rows, q = _rows_and_alphabet(n_rows, q)
     value = (w.u - 1) * q ** (-(-n_rows // (w.u - 1)))
     return _upper(value, PROV_UNIFORM, w, {"q": q, "weights": w.weights, "N": n_rows})
 
@@ -292,8 +280,9 @@ def johnson_step(n_rows: int, q: int, weights, length: int, i: int) -> BoundResu
     lowered to zero leaves the type, and a type reduced to a single part
     makes the tail unbounded.
     """
+    # Any type: a reduction to a single part is the true bound INF.
     w = normalize_weights(weights)
-    n_rows, q = _integer(n_rows, "N"), _require_alphabet(q)
+    n_rows, q = _rows_and_alphabet(n_rows, q)
     length, i = _integer(length, "step length"), _integer(i, "weight position")
     if not 1 <= length <= n_rows:
         raise ValueError(f"step length must lie in [1, {n_rows}]")
@@ -319,12 +308,8 @@ def johnson_step(n_rows: int, q: int, weights, length: int, i: int) -> BoundResu
 
 def johnson_recursive_bound(n_rows: int, q: int, weights) -> BoundResult:
     """Best bound reachable by iterating the recursive inequality."""
-    w = normalize_weights(weights)
-    if w.t < 2:
-        raise ValueError("need at least two parts")
-    n_rows, q = _integer(n_rows, "N"), _require_alphabet(q)
-    if n_rows < 1:
-        raise ValueError("need N >= 1")
+    w = _type(weights)
+    n_rows, q = _rows_and_alphabet(n_rows, q)
     flags = (FLAG_MONOTONE_EXT,) if n_rows < w.u - 1 else ()
     value = _johnson_value(n_rows, q, w.u)
     return _upper(value, PROV_JOHNSON, w, {"q": q, "weights": w.weights, "N": n_rows}, flags)
@@ -363,9 +348,10 @@ def prob_lower_bound(n_rows: int, q: int, weights) -> BoundResult:
     range the value is the largest double, still a true lower bound.
     """
     w = normalize_weights(weights)
+    # The formula divides by u-1; any lower bound holds for a one-part type.
     if w.u < 2:
         raise ValueError("need u >= 2")
-    n_rows, q = _integer(n_rows, "N"), _require_alphabet(q)
+    n_rows, q = _rows_and_alphabet(n_rows, q)
     g, log_value = _log_prob_lower(n_rows, q, w)
     try:
         value = math.exp(log_value)
@@ -749,6 +735,8 @@ def small_alphabet_bound(n_rows: int, t: int, weights) -> BoundResult:
     """
     w = normalize_weights(weights)
     n_rows, t = _integer(n_rows, "N"), _integer(t, "t")
+    if n_rows < 1:
+        raise ValueError("need N >= 1")
     if w.t != t:
         raise ValueError("weight count must equal t")
     if t < 2:
@@ -797,17 +785,13 @@ def applicable_upper_bounds(n_rows: int, q: int, weights) -> list[BoundResult]:
     small-alphabet (asymptotic-approximate) and any value below u-1
     (below-vacuous-range).
     """
-    w = normalize_weights(weights)
-    if w.t < 2:
-        raise ValueError("need at least two parts")
-    n_rows, q = _integer(n_rows, "N"), _require_alphabet(q)
+    w = _type(weights)
+    n_rows, q = _rows_and_alphabet(n_rows, q)
     results = []
     if n_rows <= w.u - 1:
         ext = () if n_rows == w.u - 1 else (FLAG_MONOTONE_EXT,)
-        tb = trung_bound(q, w)
-        bb = blackburn_bound(q, w)
-        results.append(BoundResult(tb.value, tb.provenance, {**tb.params, "N": n_rows}, tb.flags + ext))
-        results.append(BoundResult(bb.value, bb.provenance, {**bb.params, "N": n_rows}, bb.flags + ext))
+        for b in (trung_bound(q, w), blackburn_bound(q, w)):
+            results.append(BoundResult(b.value, b.provenance, {**b.params, "N": n_rows}, b.flags + ext))
     if w.t == 2 and w.weights[0] == w.weights[1] and w.weights[0] >= 2 and n_rows == 2 * w.weights[0]:
         results.append(niu_cao_bound(q, w.weights[0]))
     # Unequal weights need the simplex maximizer, which is capped in t.

@@ -104,11 +104,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if args.threshold is not None:
+    positional = (args.N, args.q, args.type)
+    if args.threshold is not None and positional == (None, None, None) and not args.lower:
         _emit(frameproof_threshold_bounds(args.threshold).as_json_dict())
         return EXIT_OK
-    if args.N is None or args.q is None or args.type is None:
-        raise ValueError("bounds needs N q TYPE (or --threshold W)")
+    if None in positional or args.threshold is not None:
+        raise ValueError("bounds needs N q TYPE, or --threshold W alone")
     weights = SeparationType.parse(args.type)
     results = applicable_upper_bounds(args.N, args.q, weights)
     if args.lower:
@@ -137,7 +138,11 @@ def _cmd_hypergraph(args) -> int:
         cycles = _cycles(h, range(3, h.parts + 1))
         cycle = next((c for c in cycles if c is not None), None)
     else:
-        cycle = find_rainbow_cycle(h, int(args.rainbow))
+        try:
+            k = int(args.rainbow)
+        except ValueError:
+            raise ValueError(f"bad --rainbow {args.rainbow!r}: expected a cycle length or 'any'") from None
+        cycle = find_rainbow_cycle(h, k)
     if cycle is None:
         _emit({"cycle": None})
         return EXIT_PROPERTY_FAILS

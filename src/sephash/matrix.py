@@ -195,6 +195,25 @@ def normalize_weights(weights) -> SeparationType:
     return SeparationType.of(weights)
 
 
+def _type(weights) -> SeparationType:
+    """normalize_weights(weights) of t >= 2 parts; one part separates vacuously."""
+    # normalize_weights inlined: the bounds pay one call for their type.
+    w = weights if isinstance(weights, SeparationType) else SeparationType.of(weights)
+    if len(w.weights) < 2:
+        raise ValueError("need at least two parts")
+    return w
+
+
+def _rows_and_alphabet(n_rows, q) -> tuple[int, int]:
+    """(N, q) as ints, refused unless q >= 1 and N >= 1, in that order."""
+    n_rows, q = _integer(n_rows, "N"), _integer(q, "q")
+    if q < 1:
+        raise ValueError("need q >= 1")
+    if n_rows < 1:
+        raise ValueError("need N >= 1")
+    return n_rows, q
+
+
 def parse_matrix(text: str) -> Matrix:
     """Parse the matrix file format; errors report 1-based line numbers."""
     content = [

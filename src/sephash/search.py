@@ -78,10 +78,11 @@ from .matrix import (
     Matrix,
     _certify,
     _integer,
-    normalize_weights,
+    _rows_and_alphabet,
+    _type,
     write_matrix,
 )
-from .verification import PreconditionError, _Agreement, find_violation
+from .verification import PreconditionError, _Agreement, _equal_size_runs, find_violation
 
 _DEFAULT_NODE_BUDGET = 5_000_000
 
@@ -251,8 +252,7 @@ def _holed_layouts(weights):
     """
 
     def ascending(rest):
-        runs = [v * rest[i:].count(v) if i and rest[i - 1] == v else 0 for i, v in enumerate(rest)]
-        return [(v, False, run) for v, run in zip(rest, runs)]
+        return [(v, False, run) for v, run in zip(rest, _equal_size_runs(rest))]
 
     layouts = []
     for w in sorted(set(weights)):
@@ -380,14 +380,8 @@ def exact_capacity(
     prefix of P through its last column, so each frame walks only the
     ones through its newest column and links them onto its parent's chain.
     """
-    w = normalize_weights(weights)
-    if w.t < 2:
-        raise ValueError("need at least two parts")
-    n_rows, q = _integer(n_rows, "N"), _integer(q, "q")
-    if n_rows < 1:
-        raise ValueError("need N >= 1")
-    if q < 1:
-        raise ValueError("need q >= 1")
+    w = _type(weights)
+    n_rows, q = _rows_and_alphabet(n_rows, q)
     # q**14 > 10_000 for every q >= 2: never build a huge q**N to refuse it.
     if q ** min(n_rows, 14) > 10_000:
         raise ValueError("search space too large: need q**N <= 10000")
@@ -508,16 +502,11 @@ def random_shf_alteration(
     Deterministic for a fixed seed; with trials > 1 the largest verified
     family over per-trial seeds is returned.
     """
-    w = normalize_weights(weights)
-    if w.t < 2:
-        raise ValueError("need at least two parts")
-    n_rows, q, seed = _integer(n_rows, "N"), _integer(q, "q"), _integer(seed, "seed")
+    w = _type(weights)
+    n_rows, q = _rows_and_alphabet(n_rows, q)
+    seed = _integer(seed, "seed")
     if q < w.t:
-        raise PreconditionError(
-            f"need q >= t = {w.t}: fewer symbols can never separate {w.t} parts"
-        )
-    if n_rows < 1:
-        raise ValueError("need N >= 1")
+        raise PreconditionError(f"need q >= t = {w.t}: fewer symbols can never separate {w.t} parts")
     if _integer(trials, "trials") < 1:
         raise ValueError("need trials >= 1")
     u = w.u

@@ -208,6 +208,11 @@ class _Agreement:
         return None
 
 
+def _equal_size_runs(sizes) -> list[int]:
+    """runs[k]: size times the parts of k's equal-size run from k on; 0 where a run starts."""
+    return [v * sizes[k:].count(v) if k and sizes[k - 1] == v else 0 for k, v in enumerate(sizes)]
+
+
 def find_violation(m: Matrix, weights) -> ViolationWitness | None:
     """Exact separation oracle.
 
@@ -250,10 +255,7 @@ def find_violation(m: Matrix, weights) -> ViolationWitness | None:
     agreement_row = agreement.row
     full = (1 << m.rows) - 1
     last = len(sizes) - 1
-    # runs[k]: when part k is as large as part k-1, the columns above part
-    # k-1's smallest member that part k and the rest of its equal-size run
-    # need (size times those parts); else 0.
-    runs = [v * sizes[k:].count(v) if k and sizes[k - 1] == v else 0 for k, v in enumerate(sizes)]
+    runs = _equal_size_runs(sizes)
     # Each frame: part k's untried combinations, then bad, reach, the
     # completed parts (k of them) and the ascending columns outside them.
     stack = [(combinations(range(n), sizes[0]), 0, [0] * n, (), list(range(n)))]

@@ -52,7 +52,7 @@ from sephash.bounds import (
     vacuous_lower_bound,
 )
 from sephash.matrix import normalize_weights
-from sephash.search import exact_capacity
+from sephash.search import exact_capacity, random_shf_alteration
 from sephash.verification import find_violation
 
 from helpers import (
@@ -727,6 +727,52 @@ def test_every_bound_refuses_alphabet_below_one(name, q):
 @pytest.mark.parametrize("name", sorted(Q_BOUNDS))
 def test_every_bound_accepts_alphabet_one(name):
     Q_BOUNDS[name](1)
+
+
+# Every public call that takes a capacity query's row count N, called with
+# it (perfect_hash_upper_bound's row count is a real scale, not a query's).
+N_CALLS = {
+    "prob_lower_bound": lambda n: prob_lower_bound(n, 3, [1, 1]),
+    "balanced_grouping_bound": lambda n: balanced_grouping_bound(n, 2, [1, 2]),
+    "grouping_composition_bound": lambda n: grouping_composition_bound(n, 2, [1, 2]),
+    "johnson_recursive_bound": lambda n: johnson_recursive_bound(n, 2, [1, 2]),
+    "johnson_step": lambda n: johnson_step(n, 2, [1, 2], 1, 1),
+    "applicable_upper_bounds": lambda n: applicable_upper_bounds(n, 2, [1, 2]),
+    "best_upper_bound": lambda n: best_upper_bound(n, 2, [1, 2]),
+    "small_alphabet_bound": lambda n: small_alphabet_bound(n, 2, [2, 2]),
+    "exact_capacity": lambda n: exact_capacity(n, 2, [1, 2]),
+    "random_shf_alteration": lambda n: random_shf_alteration(n, 3, [1, 2], seed=0),
+}
+
+
+@pytest.mark.parametrize("n_rows", [0, -1])
+@pytest.mark.parametrize("name", sorted(N_CALLS))
+def test_every_call_refuses_rows_below_one(name, n_rows):
+    with pytest.raises(ValueError, match="need N >= 1"):
+        N_CALLS[name](n_rows)
+
+
+# Every public call that refuses a one-part type, whose capacity is
+# unbounded.  johnson_step is not among them: a reduction to one part gives
+# the true bound INF.
+TYPE_CALLS = {
+    "blackburn_bound": lambda w: blackburn_bound(2, w),
+    "trung_bound": lambda w: trung_bound(2, w),
+    "balanced_grouping_bound": lambda w: balanced_grouping_bound(3, 2, w),
+    "grouping_composition_bound": lambda w: grouping_composition_bound(3, 2, w),
+    "johnson_recursive_bound": lambda w: johnson_recursive_bound(3, 2, w),
+    "applicable_upper_bounds": lambda w: applicable_upper_bounds(3, 2, w),
+    "best_upper_bound": lambda w: best_upper_bound(3, 2, w),
+    "exact_capacity": lambda w: exact_capacity(2, 2, w),
+    "random_shf_alteration": lambda w: random_shf_alteration(2, 3, w, seed=0),
+}
+
+
+@pytest.mark.parametrize("weights", [(2,), (3,)])
+@pytest.mark.parametrize("name", sorted(TYPE_CALLS))
+def test_every_call_refuses_one_part_types(name, weights):
+    with pytest.raises(ValueError, match="at least two parts"):
+        TYPE_CALLS[name](weights)
 
 
 class TestJsonShape:

@@ -233,6 +233,12 @@ class TestBounds:
         code, _ = run(["bounds", *argv])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["3", "2", "1,1"], ["3"], ["--lower"]])
+    def test_threshold_with_other_arguments_exits_2(self, capsys, argv):
+        code, out = run(["bounds", *argv, "--threshold", "3"])
+        assert code == 2 and out == ""
+        assert "--threshold W alone" in capsys.readouterr().err
+
 
 class TestHypergraph:
     def test_cycle_found(self, corpus):
@@ -269,6 +275,14 @@ class TestHypergraph:
     def test_out_of_range_k(self, corpus):
         code, _ = run(["hypergraph", corpus["cycle4.txt"], "--rainbow", "9"])
         assert code == 2
+
+    @pytest.mark.parametrize("spec", ["abc", "3.5", ""])
+    def test_bad_rainbow_names_the_option(self, corpus, capsys, spec):
+        code, _ = run(["hypergraph", corpus["cycle4.txt"], "--rainbow", spec])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"bad --rainbow {spec!r}: expected a cycle length or 'any'" in err
+        assert len(err.splitlines()) == 1
 
 
 class TestSearch:

@@ -149,6 +149,27 @@ class TestShfCrossChecks:
         with pytest.raises(PreconditionError):
             shf_to_cff_double(dup, 1)
 
+    def test_doubling_lemma_names_the_same_witness(self):
+        """m is {1,w}-separating iff its doubled image is w-cover-free, and a
+        find_violation witness ((a,), B) is the image's is_cff witness (a, B).
+
+        binary_image of a binary matrix is its doubled image, built here
+        without shf_to_cff_double, which refuses inputs that fail.
+        """
+        rng = random.Random(34)
+        failing = 0
+        for density in (0.2, 0.5, 0.8):
+            for _ in range(200):
+                n_rows, n_cols, w = rng.randint(1, 8), rng.randint(1, 12), rng.randint(1, 4)
+                rows = tuple(tuple(int(rng.random() < density) for _ in range(n_cols)) for _ in range(n_rows))
+                m = Matrix(rows, 2)
+                witness = find_violation(m, [1, w])
+                expected = None if witness is None else (witness.parts[0][0], witness.parts[1])
+                assert is_cff(binary_image(m), w) == expected, (rows, w)
+                failing += witness is not None
+        # Both outcomes are well represented.
+        assert 200 < failing < 550, failing
+
     def test_backward_on_random_verified(self):
         rng = random.Random(17)
         checked = 0

@@ -57,9 +57,9 @@ REJECTIONS = [
     ("all_distinct_probability q<1", lambda: all_distinct_probability(0, 1), ValueError, "q must be positive"),
     ("blackburn_bound t<2", lambda: blackburn_bound(2, [2]), ValueError, "at least two parts"),
     ("trung_bound t<2", lambda: trung_bound(2, [2]), ValueError, "at least two parts"),
-    ("balanced_grouping_bound u<2", lambda: balanced_grouping_bound(3, 2, [1]), ValueError, "need u >= 2"),
+    ("balanced_grouping_bound u<2", lambda: balanced_grouping_bound(3, 2, [1]), ValueError, "at least two parts"),
     ("balanced_grouping_bound N<1", lambda: balanced_grouping_bound(0, 2, [1, 1]), ValueError, "need N >= 1"),
-    ("grouping_composition_bound u<2", lambda: grouping_composition_bound(3, 2, [1]), ValueError, "need u >= 2"),
+    ("grouping_composition_bound u<2", lambda: grouping_composition_bound(3, 2, [1]), ValueError, "at least two parts"),
     ("grouping_composition_bound N<1", lambda: grouping_composition_bound(0, 2, [1, 1]), ValueError, "need N >= 1"),
     ("johnson_recursive_bound t<2", lambda: johnson_recursive_bound(3, 2, [2]), ValueError, "at least two parts"),
     ("johnson_recursive_bound N<1", lambda: johnson_recursive_bound(0, 2, [1, 1]), ValueError, "need N >= 1"),
@@ -73,6 +73,7 @@ REJECTIONS = [
     ("equal_weight_max_rate lossy t", lambda: equal_weight_max_rate(2.5, 2), ValueError, "t 2.5 is not an integer"),
     ("equal_weight_max_rate lossy w", lambda: equal_weight_max_rate(2, 2.5), ValueError, "w 2.5 is not an integer"),
     ("small_alphabet_bound t<2", lambda: small_alphabet_bound(3, 1, [2]), ValueError, "need t >= 2"),
+    ("small_alphabet_bound N<1", lambda: small_alphabet_bound(0, 2, [2, 2]), ValueError, "need N >= 1"),
     ("applicable_upper_bounds t<2", lambda: applicable_upper_bounds(3, 2, [2]), ValueError, "at least two parts"),
     ("all_distinct_probability lossy q", lambda: all_distinct_probability(2.5, 1), ValueError, "q 2.5 is not an integer"),
     ("all_distinct_probability lossy j", lambda: all_distinct_probability(3, 1.5), ValueError, "j 1.5 is not an integer"),
